@@ -24,8 +24,8 @@ from .fisher import (
     NonInformativeError,
     criterion,
     gradient_stack,
+    information_batch,
     information_matrix,
-    white_correlation,
 )
 from .lti import (
     ParamModule,
@@ -51,8 +51,6 @@ from .pem import (
     CovarianceCheck,
     Dataset,
     FitResult,
-    dataset_from_csv,
-    dataset_to_csv,
     empirical_covariance,
     pem_fit,
     prediction_cost,
@@ -94,13 +92,12 @@ __all__ = [
     "VarianceProfile",
     "covariance_block_identities",
     "criterion",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "direct_modules",
     "empirical_covariance",
     "enumerate_minimal",
     "gradient_stack",
     "impulse_response",
+    "information_batch",
     "information_matrix",
     "is_minimal",
     "is_stable",

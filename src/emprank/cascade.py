@@ -4,13 +4,96 @@ Module k (1-indexed) sits on the edge from node k to node k+1, so the only
 signal paths run forward along the chain and the node-to-node transfer matrix
 is unit-lower-triangular.  Path gains are built structurally as products of
 the edge filters; no matrix inversion is ever performed.
+
+The network also owns the pair Grams that patterns' information is built
+from (``pair_grams``).  The stack F_ij of excited node i and measured node
+j > i has rows dG_k/dtheta_{k,m} * path(i, k) * path(k+1, j), i <= k < j; its
+unit-variance Gram is Re(F_ij W F_ij^H) by Parseval on the nonnegative
+frequencies of an N-point FFT grid, with the paths as prefix products.
 """
 
 from __future__ import annotations
 
-from .lti import UnstableFilterError, is_stable, realize, series, unit_filter, zero_filter
+from dataclasses import dataclass
+from functools import cached_property
 
-__all__ = ["CascadeNetwork"]
+import numpy as np
+
+from .lti import UnstableFilterError, is_stable, module_responses, realize, series, unit_filter
+
+__all__ = ["CascadeNetwork", "PairGrams"]
+
+# enough grid once the last quarter of the slowest periodized response holds
+# less than this share of its norm (what wraps around is smaller still)
+GRID_TAIL = 1e-12
+MAX_GRID = 1 << 20
+CHUNK = 1 << 20  # stack entries evaluated at once (pairs x parameters x grid points)
+
+
+@dataclass(frozen=True)
+class PairGrams:
+    """Unit-variance Gram of each pair (``src[q]``, ``dst[q]``) in ``grams[q]``,
+    over all module-major parameters (zero outside modules src..dst-1); pairs
+    run (1, 2), (1, 3), ..., (n-1, n) and ``n_fft`` is the grid size."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    grams: np.ndarray
+    n_fft: int
+
+
+def _grid(n_fft):
+    return np.exp(-2j * np.pi * np.arange(n_fft // 2 + 1) / n_fft)
+
+
+def _grid_size(modules, radii):
+    """Smallest power-of-two grid on which the slowest response, the rows of
+    the slowest module in pair (1, n), has decayed; its first guess covers
+    the FIR parts and the samples the largest pole radius needs."""
+    slow = int(np.argmax(radii))
+    decay = np.log(GRID_TAIL) / np.log(radii[slow]) if radii[slow] > 0 else 0.0
+    n_fft = 64
+    while n_fft < sum(2 * m.n_params for m in modules) + 4.0 / 3.0 * decay:
+        n_fft *= 2
+    while n_fft <= MAX_GRID:
+        x = _grid(n_fft)
+        rest = [module_responses(m, x)[0] for k, m in enumerate(modules) if k != slow]
+        h = np.fft.irfft(module_responses(modules[slow], x)[1] * np.prod(rest, axis=0), n_fft)
+        if np.all(np.linalg.norm(h[:, -(n_fft // 4):], axis=1) <= GRID_TAIL * np.linalg.norm(h, axis=1)):
+            return n_fft
+        n_fft *= 2
+    raise UnstableFilterError(
+        f"module {slow + 1} decays too slowly (pole radius {radii[slow]:.6g}): "
+        f"its responses need more than {MAX_GRID} grid points"
+    )
+
+
+def _pair_grams(modules, radii):
+    n = len(modules) + 1
+    module = np.repeat(np.arange(n - 1), [m.n_params for m in modules])
+    src, dst = np.triu_indices(n, 1)
+    n_fft = _grid_size(modules, radii)
+    x_all = _grid(n_fft)
+    weight = np.full(x_all.size, 2.0 / n_fft)
+    weight[[0, -1]] = 1.0 / n_fft  # zero and Nyquist frequency appear once
+    step = max(1, CHUNK // (src.size * module.size))
+    grams = np.zeros((src.size, module.size, module.size))
+    for lo in range(0, x_all.size, step):
+        x = x_all[lo: lo + step]
+        # paths[a, b]: response from node a to node b (0-indexed), zero for a > b
+        paths = np.zeros((n, n, x.size), dtype=complex)
+        paths[np.arange(n), np.arange(n)] = 1.0
+        d = []
+        for k, m in enumerate(modules):
+            g, dk = module_responses(m, x)
+            paths[: k + 1, k + 1] = paths[: k + 1, k] * g
+            d.append(dk)
+        d = np.concatenate(d) * np.sqrt(weight[lo: lo + step])
+        stack = d * paths[src[:, None], module] * paths[module + 1, dst[:, None]]
+        parts = np.concatenate([stack.real, stack.imag], axis=2)
+        grams += parts @ parts.transpose(0, 2, 1)
+    grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+    return PairGrams(src + 1, dst + 1, grams, n_fft)
 
 
 class CascadeNetwork:
@@ -43,7 +126,6 @@ class CascadeNetwork:
         self._modules = modules
         self._tfs = tuple(tfs)
         self._paths = {}
-        self._scratch = {}  # memo space for derived per-network quantities
 
     @property
     def n(self):
@@ -64,6 +146,20 @@ class CascadeNetwork:
             raise ValueError(f"module index {k} outside 1..{self.n - 1}")
         return self._tfs[k - 1]
 
+    @property
+    def param_slices(self):
+        """Slice of each module's parameters in the module-major parameter vector."""
+        stops = np.cumsum([m.n_params for m in self._modules])
+        return [slice(int(b - m.n_params), int(b)) for m, b in zip(self._modules, stops)]
+
+    @cached_property
+    def pair_grams(self):
+        """PairGrams of the network, computed on first use.  Raises
+        UnstableFilterError, naming the module, when a pole lies so close to
+        the unit circle (within about 1e-4) that the responses need more
+        than MAX_GRID grid points."""
+        return _pair_grams(self._modules, [tf.pole_radius() for tf in self._tfs])
+
     def path_gain(self, i, j):
         """Product of the module filters along the path from node i to node j.
 
@@ -83,19 +179,6 @@ class CascadeNetwork:
             tf = series(self.path_gain(i, j - 1), self._tfs[j - 2])
             self._paths[key] = tf
         return tf
-
-    def transfer_matrix(self):
-        """Full node-to-node closed-loop map as an n x n grid of filters.
-
-        Entry [j-1][i-1] carries node i into node j: unit on the diagonal,
-        the path gain below it, zero above.
-        """
-        n = self.n
-        zero = zero_filter()
-        return [
-            [self.path_gain(i, j) if i <= j else zero for i in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
 
     def __repr__(self):
         return f"CascadeNetwork(n={self.n}, modules={list(self._modules)!r})"

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .cascade import CascadeNetwork
 from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
-from .fisher import NonInformativeError, criterion, information_matrix
+from .fisher import NonInformativeError, information_matrix
 from .lti import ParamModule, UnstableFilterError
 from .montecarlo import ScenarioConfig, ratio_stats, run_scenario
 from .pem import empirical_covariance
@@ -175,21 +175,12 @@ def cmd_enumerate(args):
 
 def cmd_rank(args):
     modules, profile = load_network(args.network)
-    try:
-        net = CascadeNetwork(modules)
-    except UnstableFilterError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    net = CascadeNetwork(modules)
     if args.emp is not None:
         emp = parse_emp_literal(args.emp, net.n, profile)
         res = information_matrix(net, emp)
         if not res.informative:
-            print(
-                f"numerical failure: pattern {emp.label} is non-informative "
-                f"(rcond={res.rcond:.3g})",
-                file=sys.stderr,
-            )
-            return NUMERICAL_ERROR
+            raise NonInformativeError(f"pattern {emp.label} is non-informative (rcond={res.rcond:.3g})")
         payload = {
             "pattern": emp.label,
             "criterion": {k: res.criteria[k] for k in ("trace", "logdet")},
@@ -200,11 +191,7 @@ def cmd_rank(args):
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    try:
-        ranking = rank_emps(net, profile, args.criterion)
-    except NonInformativeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    ranking = rank_emps(net, profile, args.criterion)
     other = "logdet" if args.criterion == "trace" else "trace"
     rows = [
         (
@@ -321,20 +308,10 @@ def cmd_montecarlo(args):
 
 def cmd_validate(args):
     modules, profile = load_network(args.network)
-    try:
-        net = CascadeNetwork(modules)
-    except UnstableFilterError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    net = CascadeNetwork(modules)
     emp = parse_emp_literal(args.emp, net.n, profile)
     seed = _seed_from(args)
-    try:
-        check = empirical_covariance(
-            net, emp, args.samples, args.replications, seed=seed
-        )
-    except NonInformativeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+    check = empirical_covariance(net, emp, args.samples, args.replications, seed=seed)
     payload = {
         "pattern": emp.label,
         "samples": args.samples,
@@ -410,7 +387,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except UnstableFilterError as exc:
+    except (UnstableFilterError, NonInformativeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

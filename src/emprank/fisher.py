@@ -11,34 +11,34 @@ between i and j gives the gradient stack of the pair.  Because excitations
 and sensor noises are white and mutually independent, the per-sample
 information matrix is
 
-    M = sum_{j measured} sum_{i excited, i < j} (sigma_i^2 / lambda_j) *
-        Gram(stack_ij)
+    M = sum_{j measured} sum_{i excited, i < j} (sigma_i^2 / lambda_j) * G_ij
 
-where Gram is the matrix of inner products of the stacked impulse responses.
-The per-sample asymptotic covariance of the parameter estimates is P = M^-1,
-computed through a symmetric eigendecomposition and only when the matrix is
-numerically invertible; cov(theta_hat) over N samples is then P/N.
+where G_ij, the Gram of the stack's impulse responses at unit variance, is
+read from the network's Parseval pair-Gram table (``CascadeNetwork.pair_grams``).
+Patterns are evaluated in batches: one patterns x pairs weight matrix times
+the stacked Grams, then one stacked symmetric eigendecomposition.  The
+per-sample asymptotic covariance is P = M^-1, formed only when the eigenvalue
+ratio shows M to be numerically invertible; cov(theta_hat) over N samples is
+then P/N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .lti import DEFAULT_MAX_LEN, DEFAULT_TAIL_TOL, impulse_response, param_jacobian, series
+from .lti import param_jacobian, series
 
 __all__ = [
-    "Correlation",
     "GradientStack",
     "InfoResult",
     "NonInformativeError",
     "RCOND_THRESHOLD",
     "criterion",
     "gradient_stack",
+    "information_batch",
     "information_matrix",
-    "white_correlation",
 ]
 
 RCOND_THRESHOLD = 1e-10
@@ -78,60 +78,6 @@ def gradient_stack(net, i, j):
     return GradientStack(i, j, blocks)
 
 
-class Correlation(NamedTuple):
-    matrix: np.ndarray
-    converged: bool
-
-
-def _response_matrix(filters, max_len, tail_tol):
-    rows = []
-    converged = True
-    for tf in filters:
-        h, ok = impulse_response(tf, max_len=max_len, tail_tol=tail_tol)
-        converged &= ok
-        rows.append(h)
-    width = max(r.size for r in rows)
-    out = np.zeros((len(rows), width))
-    for r, h in zip(out, rows):
-        r[: h.size] = h
-    return out, converged
-
-
-def white_correlation(a, b, variance, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
-    """Steady-state correlation matrix of two filter banks driven by shared white noise.
-
-    Entry (p, q) is variance * sum_t h_{a_p}(t) h_{b_q}(t), the expectation
-    E[(a_p(q) r)(t) (b_q(q) r)(t)] for white r of the given variance.  The
-    result is flagged non-converged if any truncation hit max_len first.
-    """
-    ha, ok_a = _response_matrix(a, max_len, tail_tol)
-    hb, ok_b = _response_matrix(b, max_len, tail_tol)
-    width = max(ha.shape[1], hb.shape[1])
-    ha = np.pad(ha, ((0, 0), (0, width - ha.shape[1])))
-    hb = np.pad(hb, ((0, 0), (0, width - hb.shape[1])))
-    return Correlation(variance * (ha @ hb.T), ok_a and ok_b)
-
-
-def _stack_gram(net, i, j, max_len, tail_tol):
-    """Gram matrix of the (i, j) stack at unit variance, memoized per network."""
-    key = ("gram", i, j, max_len, tail_tol)
-    hit = net._scratch.get(key)
-    if hit is None:
-        stack = gradient_stack(net, i, j)
-        filters = [tf for k in range(i, j) for tf in stack.blocks[k]]
-        h, ok = _response_matrix(filters, max_len, tail_tol)
-        hit = (h @ h.T, ok)
-        net._scratch[key] = hit
-    return hit
-
-
-def _param_layout(net):
-    dims = [m.n_params for m in net.modules]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    slices = [slice(int(offsets[k]), int(offsets[k + 1])) for k in range(len(dims))]
-    return slices, int(offsets[-1])
-
-
 @dataclass
 class InfoResult:
     """Information matrix M, covariance P (None when non-informative), and
@@ -139,71 +85,79 @@ class InfoResult:
 
     M: np.ndarray
     P: np.ndarray
-    blocks: list
     rcond: float
-    converged: bool
     param_slices: list
     criteria: dict
     asymmetry: float
+    traces: list  # per-module block traces of P, None when non-informative
 
     @property
     def informative(self):
         return self.P is not None
 
     def block_traces(self):
-        if self.blocks is None:
-            return None
-        return [float(np.trace(b)) for b in self.blocks]
+        return self.traces
 
 
-def information_matrix(
-    net,
-    emp,
-    max_len=DEFAULT_MAX_LEN,
-    tail_tol=DEFAULT_TAIL_TOL,
-    rcond_threshold=RCOND_THRESHOLD,
-):
-    """Assemble the per-sample information matrix of a pattern and invert it.
+def _pair_weights(net, emps):
+    """sigma2_i / lambda_j of each pattern (rows) and pair i < j (columns); an
+    unexcited node has zero variance and an unmeasured one infinite noise."""
+    sigma2 = np.zeros((len(emps), net.n + 1))
+    lam = np.full((len(emps), net.n + 1), np.inf)
+    for e, emp in enumerate(emps):
+        sigma2[e, list(emp.sigma2)] = list(emp.sigma2.values())
+        lam[e, list(emp.lam)] = list(emp.lam.values())
+        silent = [j for j, v in emp.lam.items() if v <= 0 and j > min(emp.excited)]
+        if silent:
+            raise ValueError(
+                f"noise variance at measured node {min(silent)} must be positive to assemble M"
+            )
+    table = net.pair_grams
+    return sigma2[:, table.src] / lam[:, table.dst]
+
+
+def information_batch(net, emps):
+    """Assemble the per-sample information matrix of every pattern and invert it.
 
     Parameters are ordered module-major (all of module 1, then module 2, ...).
-    Only excited/measured pairs with i < j contribute.  The assembled matrix
-    is symmetrized, and inverted only when the eigenvalue ratio clears
-    ``rcond_threshold``; otherwise the result reports a non-informative
-    pattern with P=None.
+    Only excited/measured pairs with i < j contribute.  Each assembled matrix
+    is symmetrized, and inverted only when its eigenvalue ratio clears
+    RCOND_THRESHOLD; otherwise its result reports a non-informative
+    pattern with P=None.  Returns one InfoResult per pattern, in order.
     """
-    slices, dim = _param_layout(net)
-    offsets = [s.start for s in slices] + [dim]
-    M = np.zeros((dim, dim))
-    converged = True
-    for j in sorted(emp.measured):
-        lam = emp.lam[j]
-        for i in sorted(emp.excited):
-            if i >= j:
-                continue
-            if lam <= 0:
-                raise ValueError(
-                    f"noise variance at measured node {j} must be positive to assemble M"
-                )
-            gram, ok = _stack_gram(net, i, j, max_len, tail_tol)
-            converged &= ok
-            sl = slice(offsets[i - 1], offsets[j - 1])
-            M[sl, sl] += (emp.sigma2[i] / lam) * gram
-    norm = np.linalg.norm(M)
-    asymmetry = float(np.linalg.norm(M - M.T) / norm) if norm > 0 else 0.0
-    M = 0.5 * (M + M.T)
+    slices = net.param_slices
+    # einsum sums the pairs of each pattern in one fixed order, so a
+    # pattern's M does not depend on the batch it is evaluated in
+    M = np.einsum("ek,kab->eab", _pair_weights(net, emps), net.pair_grams.grams)
+    norm = np.linalg.norm(M, axis=(1, 2))
+    skew = np.linalg.norm(M - M.transpose(0, 2, 1), axis=(1, 2))
+    asymmetry = np.divide(skew, norm, out=np.zeros_like(norm), where=norm > 0).tolist()
+    M = 0.5 * (M + M.transpose(0, 2, 1))
     w, v = np.linalg.eigh(M)
-    wmax = float(w[-1]) if dim else 0.0
-    rcond = float(max(w[0], 0.0) / wmax) if wmax > 0 else 0.0
-    if rcond <= rcond_threshold:
-        return InfoResult(M, None, None, rcond, converged, slices, None, asymmetry)
-    P = (v / w) @ v.T
-    P = 0.5 * (P + P.T)
-    blocks = [P[s, s] for s in slices]
-    criteria = {
-        "trace": float(np.sum(1.0 / w)),
-        "logdet": float(-np.sum(np.log(w))),
-    }
-    return InfoResult(M, P, blocks, rcond, converged, slices, criteria, asymmetry)
+    top = w[:, -1]
+    rcond = np.divide(np.maximum(w[:, 0], 0.0), top, out=np.zeros_like(top), where=top > 0)
+    ok = rcond > RCOND_THRESHOLD
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where not ok
+        P = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
+        trace = np.sum(1.0 / w, axis=1).tolist()
+        logdet = (-np.sum(np.log(w), axis=1)).tolist()
+    P = 0.5 * (P + P.transpose(0, 2, 1))
+    traces = np.add.reduceat(np.diagonal(P, axis1=1, axis2=2), [s.start for s in slices], axis=1)
+    rcond = rcond.tolist()
+    return [
+        InfoResult(
+            M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]},
+            asymmetry[e], traces[e].tolist(),
+        )
+        if ok[e]
+        else InfoResult(M[e], None, rcond[e], slices, None, asymmetry[e], None)
+        for e in range(len(emps))
+    ]
+
+
+def information_matrix(net, emp):
+    """The InfoResult of one pattern: ``information_batch`` of a batch of one."""
+    return information_batch(net, [emp])[0]
 
 
 def criterion(result, kind="trace"):

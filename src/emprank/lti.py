@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "DEFAULT_MAX_LEN",
@@ -39,6 +38,7 @@ __all__ = [
     "UnstableFilterError",
     "impulse_response",
     "is_stable",
+    "module_responses",
     "param_jacobian",
     "realize",
     "series",
@@ -61,7 +61,8 @@ class StructureError(ValueError):
 
 
 class UnstableFilterError(ValueError):
-    """A stable filter was required but a pole lies on or outside the unit circle."""
+    """A stable filter was required but a pole lies on or outside the unit
+    circle, or so close to it that the response never decays in practice."""
 
 
 def _as_poly(c, what):
@@ -176,6 +177,8 @@ def impulse_response(tf, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
     UnstableFilterError
         If the filter fails the stability margin; its response diverges.
     """
+    from scipy.signal import lfilter
+
     b, a = tf.shift_coefficients()
     if tf.is_delay_line:
         h = np.array(b, dtype=float)
@@ -272,3 +275,18 @@ def param_jacobian(module):
         TransferFunction(-np.convolve(q, tf.num), den2),   # d/dt3: -qB/A^2
         TransferFunction(-tf.num, den2),                   # d/dt4: -B/A^2
     )
+
+
+def module_responses(module, x):
+    """Response G = B/A of a module and of its ``param_jacobian`` filters (one
+    row per parameter) at unit delays x = e^{-iw}: q^-m/A for a numerator and
+    -q^-m G/A for a denominator coefficient, never squaring out A."""
+    b, a = realize(module).shift_coefficients()
+    den = np.polyval(a[::-1], x)
+    g = np.polyval(b[::-1], x) / den
+    if module.family == FIR:
+        return g, np.array([x**m for m in range(module.n_params)])
+    if module.family == FIRST_ORDER:
+        return g, np.array([-g * x / den, x / den])
+    x2 = x * x
+    return g, np.array([x / den, x2 / den, -g * x / den, -g * x2 / den])

@@ -12,17 +12,19 @@ master seed s uses the dedicated stream seeded by (s, r).
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
 from .cascade import CascadeNetwork
 from .emp import pattern_label, enumerate_minimal
 from .fisher import NonInformativeError
-from .lti import FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, is_stable, realize
+from .lti import FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
 from .ranking import VarianceProfile, rank_emps
 
 __all__ = [
@@ -59,6 +61,8 @@ def sample_fir_butterworth(rng):
     [0.1, 0.4] cycles/sample, and its impulse response is kept up to the last
     tap of magnitude at least 1e-4.
     """
+    from scipy.signal import butter, lfilter
+
     cutoff = rng.uniform(0.1, 0.4)
     b, a = butter(2, cutoff, btype="low", fs=1.0)
     x = np.zeros(512)
@@ -222,19 +226,28 @@ def _run_one(cfg, run_index):
     rng = np.random.default_rng([cfg.master_seed, run_index])
     modules = _draw_modules(cfg, rng)
     profile = _draw_profile(cfg, rng)
-    if any(not is_stable(realize(m)) for m in modules):
-        return RunOutcome(rejected=True, reason="unstable draw")
-    net = CascadeNetwork(modules)
     try:
-        ranking = rank_emps(net, profile, cfg.criterion)
+        ranking = rank_emps(CascadeNetwork(modules), profile, cfg.criterion)
     except NonInformativeError:
         return RunOutcome(rejected=True, reason="no informative pattern")
+    except UnstableFilterError as exc:  # an unstable draw, or one too slow to decay
+        return RunOutcome(rejected=True, reason=str(exc))
     return RunOutcome(
         winner=ranking.best.canonical_index,
         runner_up_ratio=ranking.runner_up_ratio(),
         worst_ratio=ranking.worst_ratio(),
         non_informative=len(ranking.non_informative),
     )
+
+
+def _one_blas_thread():
+    """Worker initializer: one thread for numpy's bundled OpenBLAS (a run
+    factors only small matrices); a no-op without scipy-openblas."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
 
 
 def _run_chunk(args):
@@ -288,7 +301,7 @@ def run_scenario(cfg, workers=1, log_every=None):
     if workers and workers > 1:
         indices = np.array_split(np.arange(cfg.runs), workers * 8)
         chunks = [(cfg, idx.tolist()) for idx in indices if idx.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             for done, part in enumerate(pool.map(_run_chunk, chunks), start=1):
                 outcomes.extend(part)
                 log.info("scenario progress: %d/%d chunks", done, len(chunks))

@@ -10,11 +10,9 @@ the theoretical per-sample covariance P.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cascade import CascadeNetwork
 from .emp import Emp
@@ -25,17 +23,21 @@ __all__ = [
     "CovarianceCheck",
     "Dataset",
     "FitResult",
-    "dataset_from_csv",
-    "dataset_to_csv",
     "empirical_covariance",
     "pem_fit",
     "prediction_cost",
-    "prediction_cost_gradient",
     "simulate",
 ]
 
 TRANSIENT = 50
 MIN_REPLICATIONS = 30
+
+
+def lfilter(b, a, x):
+    """``scipy.signal.lfilter``, imported on first use, not with emprank."""
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x)
 
 
 @dataclass
@@ -81,34 +83,6 @@ def simulate(net, emp, n_samples, seed=None):
             w[k + 1] += r[k + 1]
     y = {j: w[j] + e[j] for j in sorted(emp.measured)}
     return Dataset(r=r, y=y, truth_net=net, truth_emp=emp, seed=seed)
-
-
-def dataset_to_csv(dataset, path):
-    """Write a record as columns t, r_<node>..., y_<node>... for external checks."""
-    rs = sorted(dataset.r)
-    ys = sorted(dataset.y)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"r_{i}" for i in rs] + [f"y_{j}" for j in ys])
-        for t in range(dataset.n_samples):
-            row = [t]
-            row += [repr(float(dataset.r[i][t])) for i in rs]
-            row += [repr(float(dataset.y[j][t])) for j in ys]
-            writer.writerow(row)
-
-
-def dataset_from_csv(path):
-    """Read back the (r, y) signal dictionaries written by dataset_to_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns = {name: [] for name in header}
-        for row in reader:
-            for name, value in zip(header, row):
-                columns[name].append(float(value))
-    r = {int(k[2:]): np.asarray(v) for k, v in columns.items() if k.startswith("r_")}
-    y = {int(k[2:]): np.asarray(v) for k, v in columns.items() if k.startswith("y_")}
-    return r, y
 
 
 def _flatten(modules):
@@ -189,15 +163,6 @@ def _linearize(data, net, transient):
         res_parts.append((data.y[j] - yhat[j])[transient:] * weights[j])
         jac_parts.append(-psi[transient:] * weights[j])
     return np.concatenate(res_parts), np.vstack(jac_parts)
-
-
-def prediction_cost_gradient(data, modules, transient=TRANSIENT):
-    """Analytic gradient of prediction_cost at the given modules."""
-    net = _try_network(modules)
-    if net is None:
-        raise ValueError("gradient undefined for an unstable candidate")
-    res, jac = _linearize(data, net, transient)
-    return 2.0 * (jac.T @ res)
 
 
 @dataclass

@@ -12,14 +12,13 @@ node i against the sensor noise at node j.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
-from .fisher import NonInformativeError, criterion, information_matrix, white_correlation
-from .lti import param_jacobian, series
+from .fisher import CRITERIA, NonInformativeError, information_batch, information_matrix
 
 __all__ = [
     "EmpRanking",
@@ -113,13 +112,14 @@ class EmpRanking:
         return self.entries[-1].value / self.entries[0].value
 
 
-def rank_emps(net, profile, kind="trace", **info_kwargs):
+def rank_emps(net, profile, kind="trace"):
     """Evaluate every minimal pattern of the network and sort by criterion."""
+    if kind not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {kind!r}")
+    emps = [profile.emp_for(pattern) for pattern in enumerate_minimal(net.n)]
     entries = []
     dead = []
-    for idx, pattern in enumerate(enumerate_minimal(net.n)):
-        emp = profile.emp_for(pattern)
-        res = information_matrix(net, emp, **info_kwargs)
+    for idx, (emp, res) in enumerate(zip(emps, information_batch(net, emps))):
         if not res.informative:
             dead.append((emp, idx, res.rcond))
             continue
@@ -127,8 +127,8 @@ def rank_emps(net, profile, kind="trace", **info_kwargs):
             RankEntry(
                 emp=emp,
                 canonical_index=idx,
-                value=criterion(res, kind),
-                block_traces=res.block_traces(),
+                value=res.criteria[kind],
+                block_traces=res.traces,
                 directs=direct_modules(emp),
                 info=res,
             )
@@ -243,7 +243,7 @@ class MirrorReport:
         return max((p.m_deviation for p in self.pairs), default=0.0)
 
 
-def verify_mirror(net, profile=VarianceProfile(), **info_kwargs):
+def verify_mirror(net, profile=VarianceProfile()):
     """Check that mirrored patterns carry identical information.
 
     Under identical modules and uniform variances the information matrix of a
@@ -256,27 +256,26 @@ def verify_mirror(net, profile=VarianceProfile(), **info_kwargs):
     only the node sets are reflected.
     """
     hypotheses = net.identical_modules and profile.uniform
-    dims = [m.n_params for m in net.modules]
-    perm = mirror_permutation(dims)
+    perm = mirror_permutation([m.n_params for m in net.modules])
+    patterns = enumerate_minimal(net.n)
+    emps = [profile.emp_for(pattern) for pattern in patterns]
+    results = dict(zip(patterns, information_batch(net, emps)))
     seen = set()
     pairs = []
     excluded = []
-    for pattern in enumerate_minimal(net.n):
+    for pattern, emp in zip(patterns, emps):
         if pattern in seen:
             continue
-        emp = profile.emp_for(pattern)
         mpattern = mirror(emp, net.n).pattern
-        memp = profile.emp_for(mpattern)
         seen.add(pattern)
         seen.add(mpattern)
-        res = information_matrix(net, emp, **info_kwargs)
-        mres = information_matrix(net, memp, **info_kwargs)
+        res, mres = results[pattern], results[mpattern]
         scale = max(np.linalg.norm(res.M), 1e-300)
         m_dev = float(np.linalg.norm(mres.M - res.M[np.ix_(perm, perm)]) / scale)
         if not (res.informative and mres.informative):
             excluded.append((pattern, mpattern, "non-informative"))
             continue
-        t, mt = criterion(res, "trace"), criterion(mres, "trace")
+        t, mt = res.criteria["trace"], mres.criteria["trace"]
         pairs.append(
             MirrorPair(
                 pattern=pattern,
@@ -304,8 +303,8 @@ class ModuleAccuracyReport:
         return self.rows[k - 1][1]
 
 
-def module_accuracy_report(net, emp, **info_kwargs):
-    res = information_matrix(net, emp, **info_kwargs)
+def module_accuracy_report(net, emp):
+    res = information_matrix(net, emp)
     directs = direct_modules(emp)
     uniform = (
         len(set(emp.sigma2.values())) <= 1 and len(set(emp.lam.values())) <= 1
@@ -323,7 +322,7 @@ def module_accuracy_report(net, emp, **info_kwargs):
     return ModuleAccuracyReport(emp, rows, True, hypotheses, verdict)
 
 
-def covariance_block_identities(net, profile, **info_kwargs):
+def covariance_block_identities(net, profile):
     """Closed-form check of the 4-node covariance blocks.
 
     With identical modules and uniform variances, the per-module covariance
@@ -334,7 +333,8 @@ def covariance_block_identities(net, profile, **info_kwargs):
         C = (s/l) E[dGG r x dGG r]
 
     where d is the module derivative filter bank and G the module itself.
-    Returns a report with, per pattern, the worst relative deviation of the
+    They are read off the network's own pair Grams: the first module's block
+    of the pairs (1, 2), (1, 3) and (1, 4).  Returns a report with, per pattern, the worst relative deviation of the
     assembled information matrix from its A/B/C block pattern and of the
     covariance diagonal blocks from their closed forms.
     """
@@ -344,16 +344,9 @@ def covariance_block_identities(net, profile, **info_kwargs):
         raise ValueError("closed forms require identical modules")
     if not profile.uniform:
         raise ValueError("closed forms require uniform variances")
-    module = net.modules[0]
-    g = net.module_tf(1)
-    s = profile.sigma2_at(1)
-    l = profile.lam_at(net.n)
-    d = list(param_jacobian(module))
-    dg = [series(f, g) for f in d]
-    dgg = [series(f, series(g, g)) for f in d]
-    a = (s / l) * white_correlation(d, d, 1.0, **info_kwargs).matrix
-    b = (s / l) * white_correlation(dg, dg, 1.0, **info_kwargs).matrix
-    c = (s / l) * white_correlation(dgg, dgg, 1.0, **info_kwargs).matrix
+    first = net.param_slices[0]
+    snr = profile.sigma2_at(1) / profile.lam_at(net.n)
+    a, b, c = snr * net.pair_grams.grams[:3, first, first]  # pairs (1, 2), (1, 3), (1, 4)
     inv = np.linalg.inv
     f_abc = inv(inv(inv(a) + inv(b)) + inv(inv(b) + inv(c)))
     blk = np.block
@@ -375,13 +368,13 @@ def covariance_block_identities(net, profile, **info_kwargs):
             [inv(a), 2 * inv(a) + inv(c), inv(a)],
         ),
     }
+    results = information_batch(net, [profile.emp_for(pattern) for pattern in expected])
     report = {}
-    for pattern, (m_expect, p_blocks) in expected.items():
-        res = information_matrix(net, profile.emp_for(pattern), **info_kwargs)
+    for (pattern, (m_expect, p_blocks)), res in zip(expected.items(), results):
         m_dev = np.linalg.norm(res.M - m_expect) / np.linalg.norm(m_expect)
         p_dev = max(
             np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
-            for got, want in zip(res.blocks, p_blocks)
+            for got, want in zip((res.P[s, s] for s in res.param_slices), p_blocks)
         )
         report[pattern] = {"m_deviation": float(m_dev), "block_deviation": float(p_dev)}
     return report

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from emprank import CascadeNetwork, ParamModule
+from emprank import CascadeNetwork, ParamModule, impulse_response
+
+
+def white_correlation(a, b, variance):
+    """Correlation matrix of two filter banks driven by shared white noise:
+    entry (p, q) is variance * sum_t h_{a_p}(t) h_{b_q}(t), summed over
+    impulse responses in the time domain, independently of the package's
+    Parseval Grams."""
+    rows = [impulse_response(tf)[0] for tf in list(a) + list(b)]
+    h = np.zeros((len(rows), max(r.size for r in rows)))
+    for out, r in zip(h, rows):
+        out[: r.size] = r
+    return variance * (h[: len(a)] @ h[len(a):].T)
 
 
 def random_first_order(rng, pole_cap=0.9):

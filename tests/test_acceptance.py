@@ -37,9 +37,8 @@ from emprank import (
     ratio_stats,
     run_scenario,
     verify_mirror,
-    white_correlation,
 )
-from conftest import identical_network, random_first_order
+from conftest import identical_network, random_first_order, white_correlation
 
 MASTER_SEED = 20260815
 WORKERS = min(4, os.cpu_count() or 1)
@@ -175,7 +174,7 @@ def test_criterion_06_first_module_floor():
 
     def gram_inverse(module):
         jac = list(param_jacobian(module))
-        return np.linalg.inv((sigma2 / lam) * white_correlation(jac, jac, 1.0).matrix)
+        return np.linalg.inv((sigma2 / lam) * white_correlation(jac, jac, 1.0))
 
     worst = 0.0
     for n in (4, 5):

@@ -2,10 +2,23 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import emprank
 from emprank.cli import main
+
+SRC = os.path.dirname(os.path.dirname(emprank.__file__))
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 @pytest.fixture
@@ -321,8 +334,25 @@ class TestErrorPaths:
         assert main(["rank", "--network", str(net3), "--emp", "B=1;C=2,3;sigma2=1,2"]) == 2
         capsys.readouterr()
 
+    def test_slow_decaying_module(self, tmp_path):
+        # pole radius 1 - 1e-5: the Grams would need a grid past 2^20 points
+        path = tmp_path / "slow.json"
+        path.write_text(
+            json.dumps({"modules": [{"family": "first_order", "theta": [-0.99999, 1.0]}] * 2})
+        )
+        proc = run_python("-m", "emprank.cli", "rank", "--network", str(path))
+        assert proc.returncode == 3
+        assert "numerical failure: module 1 decays too slowly (pole radius 0.99999)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert "emprank" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    proc = run_python("-c", "import sys, emprank.cli; print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -19,9 +19,8 @@ from emprank import (
     gradient_stack,
     information_matrix,
     unit_filter,
-    white_correlation,
 )
-from conftest import identical_network, random_network
+from conftest import identical_network, random_network, white_correlation
 
 
 def delays(*lags):
@@ -31,24 +30,23 @@ def delays(*lags):
 class TestWhiteCorrelation:
     def test_orthogonal_delays(self):
         c = white_correlation(delays(0, 1), delays(0, 1), 1.0)
-        assert c.converged
-        np.testing.assert_allclose(c.matrix, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(c, np.eye(2), atol=1e-14)
 
     def test_fir_energy(self):
         f = [TransferFunction([1.0, -0.3], [1.0, 0.0])]
         c = white_correlation(f, f, 1.0)
-        assert c.matrix[0, 0] == pytest.approx(1.09, rel=1e-12)
+        assert c[0, 0] == pytest.approx(1.09, rel=1e-12)
 
     def test_geometric_energy(self):
         # 1/(q-0.5) has energy sum 0.25^k = 4/3
         f = [TransferFunction([1.0], [1.0, -0.5])]
         c = white_correlation(f, f, 1.0)
-        assert c.matrix[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
+        assert c[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_variance_scaling(self):
         f = [unit_filter()]
         c = white_correlation(f, f, 2.5)
-        assert c.matrix[0, 0] == pytest.approx(2.5, rel=1e-14)
+        assert c[0, 0] == pytest.approx(2.5, rel=1e-14)
 
     def test_cross_correlation_by_simulation(self, rng):
         """Time-domain oracle: covariance of two filtered white noises."""
@@ -60,7 +58,7 @@ class TestWhiteCorrelation:
         xa = lfilter(*a.shift_coefficients(), e)
         xb = lfilter(*b.shift_coefficients(), e)
         est = float(np.mean(xa[200:] * xb[200:]))
-        assert c.matrix[0, 0] == pytest.approx(est, abs=0.01)
+        assert c[0, 0] == pytest.approx(est, abs=0.01)
 
 
 class TestGradientStack:
@@ -73,7 +71,7 @@ class TestGradientStack:
         net = CascadeNetwork([ParamModule("fir", (0.7, -0.1))] * 2)
         st = gradient_stack(net, 1, 2)
         assert set(st.blocks) == {1}
-        h0, _ = white_correlation(list(st.blocks[1]), delays(0, 1), 1.0).matrix
+        h0, _ = white_correlation(list(st.blocks[1]), delays(0, 1), 1.0)
         np.testing.assert_allclose(h0, [1.0, 0.0], atol=1e-14)
 
     def test_span_covers_path_modules(self, rng):
@@ -89,8 +87,8 @@ class TestGradientStack:
         )
         st = gradient_stack(net, 1, 3)
         probe = [unit_filter()]
-        e1 = white_correlation(list(st.blocks[1]), probe, 1.0).matrix
-        e2 = white_correlation(list(st.blocks[2]), probe, 1.0).matrix
+        e1 = white_correlation(list(st.blocks[1]), probe, 1.0)
+        e2 = white_correlation(list(st.blocks[2]), probe, 1.0)
         assert e1[0, 0] == pytest.approx(-1.2)
         assert e2[0, 0] == pytest.approx(0.8)
 
@@ -222,7 +220,7 @@ class TestSharedFirstModuleBlock:
         from emprank import param_jacobian
 
         jac = list(param_jacobian(net.modules[0]))
-        a = white_correlation(jac, jac, sigma2 / lam).matrix
+        a = white_correlation(jac, jac, sigma2 / lam)
         return np.linalg.inv(a)
 
     @pytest.mark.parametrize(

@@ -1,5 +1,10 @@
 """Random-network selection experiments: samplers, config, aggregation."""
 
+import glob
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -208,6 +213,18 @@ class TestRunScenario:
         assert ratio_stats(report) == ratio_stats(report)
         assert ratio_stats(report).median_runner_up is None
 
+    def test_slow_decaying_run_rejected_with_reason(self, monkeypatch):
+        monkeypatch.setitem(
+            montecarlo._SAMPLERS,
+            "first_order",
+            lambda rng: ParamModule("first_order", (-0.99999, 1.0)),
+        )
+        cfg = ScenarioConfig(n=3, family="first_order", runs=2, master_seed=0)
+        outcome = montecarlo._run_one(cfg, 0)
+        assert outcome.rejected
+        assert outcome.reason.startswith("module 1 decays too slowly (pole radius 0.99999)")
+        assert run_scenario(cfg).n_rejected_runs == 2
+
     def test_report_dict(self):
         cfg = ScenarioConfig(n=3, family="first_order", runs=8, master_seed=2)
         d = run_scenario(cfg).to_dict()
@@ -216,6 +233,26 @@ class TestRunScenario:
         assert sum(d["percentages"]) == pytest.approx(100.0)
         assert d["config"]["family"] == "first_order"
         assert d["median_worst_ratio"] >= d["median_runner_up_ratio"]
+
+
+def test_worker_blas_runs_one_thread():
+    """The worker initializer leaves numpy's bundled OpenBLAS on one thread."""
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*.so*")
+    )
+    if not libs:
+        pytest.skip("numpy carries no bundled scipy-openblas")
+    probe = (
+        "import ctypes, sys; from emprank import montecarlo; montecarlo._one_blas_thread(); "
+        "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_; print(get())"
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, libs[0]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 class TestButterworthScenario:
@@ -227,50 +264,61 @@ class TestButterworthScenario:
         assert report.counts[1] == 10
 
 
-# Independent oracle for the first-order population of acceptance criterion 9
-# (same master seed).  It rebuilds every pattern's information matrix from
-# directly simulated pair impulse responses, differentiated numerically, with
-# numpy and lfilter only: no Gram, gradient stack or transfer-function code of
-# the package is involved.  The five-point central stencil has error
-# O(step^4); at a relative step of 1e-4 the oracle's M lands within about
-# 1e-11 of the engine's, and 1000 samples cover the slowest response
-# (a fourth-order pole at -0.9) to below double precision.
+# Independent oracle for the pair Grams and the information matrices (first
+# used for the first-order population of acceptance criterion 9, same master
+# seed).  It rebuilds every pair's Gram from directly simulated pair impulse
+# responses, differentiated numerically, with numpy and lfilter only: no Gram,
+# gradient stack or transfer-function code of the package is involved.  The
+# derivative is a complex-step finite difference (shift one parameter by
+# i*step, read the imaginary part), which has no subtractive cancellation, so
+# the oracle is accurate to rounding.  1000 samples cover the slowest
+# criterion-9 response (a fourth-order pole at -0.9) to below double precision.
 CRITERION_9_SEED = 20260815
 ORACLE_LEN = 1000
-ORACLE_STEP = 1e-4
+ORACLE_STEP = 1e-30
 
 
-def oracle_pair_responses(theta, n):
+def oracle_coefficients(family, theta):
+    """(b, a) in powers of q^-1, read from a module family and its parameters."""
+    if family == "fir":
+        return theta, [1.0]
+    if family == "first_order":
+        return [0.0, theta[1]], [1.0, theta[0]]  # b/(q + a)
+    return [0.0, theta[0], theta[1]], [1.0, theta[2], theta[3]]
+
+
+def oracle_pair_responses(modules, thetas, length):
     """Impulse responses from node i to every node j > i, one lfilter per module."""
-    impulse = np.zeros(ORACLE_LEN)
+    impulse = np.zeros(length, dtype=complex)
     impulse[0] = 1.0
     responses = {}
+    n = len(modules) + 1
     for i in range(1, n):
         x = impulse
         for k in range(i, n):
-            a, b = theta[2 * k - 2], theta[2 * k - 1]
-            x = lfilter([0.0, b], [1.0, a], x)  # b/(q + a) in powers of q^-1
+            x = lfilter(*oracle_coefficients(modules[k - 1].family, thetas[k - 1]), x)
             responses[i, k + 1] = x
     return responses
 
 
-def oracle_information(theta, n, profile, patterns):
-    """Per-sample information matrix of each pattern, built from numerical
-    parameter derivatives of the pair impulse responses."""
-    p = theta.size
+def oracle_grams(modules, length=ORACLE_LEN):
+    """Unit-variance Gram of every pair (i, j), over all parameters."""
+    p = sum(m.n_params for m in modules)
     psi = {}
-    for m in range(p):
-        step = ORACLE_STEP * abs(theta[m])
-        shifted = {}
-        for s in (-2, -1, 1, 2):
-            t = theta.copy()
-            t[m] += s * step
-            shifted[s] = oracle_pair_responses(t, n)
-        for pair in shifted[1]:
-            d1 = shifted[1][pair] - shifted[-1][pair]
-            d2 = shifted[2][pair] - shifted[-2][pair]
-            psi.setdefault(pair, np.zeros((p, ORACLE_LEN)))[m] = (8 * d1 - d2) / (12 * step)
-    grams = {pair: g @ g.T for pair, g in psi.items()}
+    row = 0
+    for k, module in enumerate(modules):
+        for m in range(module.n_params):
+            thetas = [np.array(mod.theta, dtype=complex) for mod in modules]
+            thetas[k][m] += 1j * ORACLE_STEP
+            for pair, h in oracle_pair_responses(modules, thetas, length).items():
+                psi.setdefault(pair, np.zeros((p, length)))[row] = h.imag / ORACLE_STEP
+            row += 1
+    return {pair: g @ g.T for pair, g in psi.items()}
+
+
+def oracle_information(modules, profile, patterns):
+    """Per-sample information matrix of each pattern from the oracle's Grams."""
+    grams = oracle_grams(modules)
     return [
         sum(
             profile.sigma2_at(i) / profile.lam_at(j) * grams[i, j]
@@ -280,6 +328,40 @@ def oracle_information(theta, n, profile, patterns):
         )
         for b, c in patterns
     ]
+
+
+class TestEngineGrams:
+    """The network's Parseval pair Grams against the oracle's."""
+
+    @staticmethod
+    def worst_deviation(modules, length):
+        table = CascadeNetwork(modules).pair_grams
+        oracle = oracle_grams(modules, length)
+        return max(
+            np.linalg.norm(g - oracle[i, j]) / np.linalg.norm(oracle[i, j])
+            for i, j, g in zip(table.src, table.dst, table.grams)
+        )
+
+    def test_first_order_n10(self):
+        rng = np.random.default_rng([CRITERION_9_SEED, 0])
+        modules = [sample_first_order(rng) for _ in range(9)]
+        assert self.worst_deviation(modules, ORACLE_LEN) <= 1e-12
+
+    def test_second_order_n4_slow_pole(self):
+        # a complex pole pair of radius 0.97 next to a real double pole
+        slow = ParamModule("second_order", (1.0, 0.5, -2 * 0.97 * np.cos(0.4), 0.97**2))
+        modules = [
+            ParamModule("second_order", (1.0, -0.3, -1.2, 0.36)),
+            slow,
+            ParamModule("second_order", (1.0, 2.0, -0.5, 0.2)),
+        ]
+        assert max(realize(m).pole_radius() for m in modules) == pytest.approx(0.97)
+        assert self.worst_deviation(modules, 4000) <= 1e-12
+
+    def test_fir_butterworth_n4(self):
+        rng = np.random.default_rng([CRITERION_9_SEED, 1])
+        modules = [sample_fir_butterworth(rng) for _ in range(3)]
+        assert self.worst_deviation(modules, 256) <= 1e-12
 
 
 class TestCriterion9Oracle:
@@ -303,8 +385,7 @@ class TestCriterion9Oracle:
             rng = np.random.default_rng([cfg.master_seed, r])
             modules = montecarlo._draw_modules(cfg, rng)
             profile = montecarlo._draw_profile(cfg, rng)
-            theta = np.array([t for m in modules for t in m.theta])
-            oracle = oracle_information(theta, cfg.n, profile, patterns)
+            oracle = oracle_information(modules, profile, patterns)
             net = CascadeNetwork(modules)
             for pattern, m_oracle in zip(patterns, oracle):
                 m_engine = information_matrix(net, profile.emp_for(pattern)).M

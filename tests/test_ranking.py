@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emprank import (
     CascadeNetwork,
@@ -11,7 +13,9 @@ from emprank import (
     VarianceProfile,
     covariance_block_identities,
     criterion,
+    enumerate_minimal,
     information_matrix,
+    mirror,
     mirror_permutation,
     module_accuracy_report,
     rank_emps,
@@ -107,6 +111,90 @@ class TestRankEmps:
         net = CascadeNetwork([ParamModule("first_order", (0.3, 0.0))])
         with pytest.raises(NonInformativeError):
             rank_emps(net, VarianceProfile())
+
+
+class TestBatchedEvaluation:
+    """rank_emps evaluates all patterns in one batch; information_matrix
+    evaluates one.  Both must give the same answers."""
+
+    @pytest.mark.parametrize(
+        "net, profile",
+        [
+            (random_network(np.random.default_rng(1), 6), VarianceProfile(1.0, 0.01)),
+            (
+                random_network(np.random.default_rng(2), 5, family="second_order"),
+                VarianceProfile({i: 0.5 * i for i in range(1, 6)}, {j: 2.0 / j for j in range(1, 6)}),
+            ),
+            (random_network(np.random.default_rng(3), 4, family="fir"), VarianceProfile(2.0, 0.1)),
+            (
+                CascadeNetwork([ParamModule("fir", (1.0,)), ParamModule("fir", (0.0,)), ParamModule("fir", (0.7,))]),
+                VarianceProfile(),
+            ),
+        ],
+    )
+    def test_matches_per_pattern_evaluation(self, net, profile):
+        ranking = rank_emps(net, profile)
+        single = [information_matrix(net, profile.emp_for(p)) for p in enumerate_minimal(net.n)]
+        assert sorted(idx for _, idx, _ in ranking.non_informative) == [
+            i for i, res in enumerate(single) if not res.informative
+        ]
+        informative = [i for i, res in enumerate(single) if res.informative]
+        trace = {i: single[i].criteria["trace"] for i in informative}
+        assert [e.canonical_index for e in ranking.entries] == sorted(
+            informative, key=lambda i: (trace[i], i)
+        )
+        for e in ranking.entries:
+            assert e.value == pytest.approx(trace[e.canonical_index], rel=1e-12)
+            np.testing.assert_allclose(
+                e.block_traces, single[e.canonical_index].block_traces(), rtol=1e-12
+            )
+
+
+def accuracy(entry):
+    """Relative accuracy of an entry's trace(P): rounding in M grows by up to
+    the condition number, about 1/rcond (the benchmark's oracle bound)."""
+    return 1e-9 + 1e-13 / entry.info.rcond
+
+
+first_order_modules = st.builds(
+    lambda a, b: ParamModule("first_order", (a, b)),
+    st.floats(-0.9, 0.9).filter(lambda a: abs(a) > 0.05),
+    st.floats(0.5, 2.0),
+)
+variances = st.floats(1e-3, 1e3)
+
+
+class TestBatchedProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 6), first_order_modules, variances, variances)
+    def test_mirrored_patterns_tie(self, n, module, sigma2, lam):
+        net = CascadeNetwork([module] * (n - 1))
+        ranking = rank_emps(net, VarianceProfile(sigma2, lam))
+        value = {e.emp.pattern: e.value for e in ranking.entries}
+        for e in ranking.entries:
+            twin = mirror(e.emp, n).pattern
+            assert value[twin] == pytest.approx(e.value, rel=accuracy(e))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(first_order_modules, min_size=2, max_size=5),
+        variances,
+        variances,
+        st.floats(1e-3, 1e3),
+    )
+    def test_uniform_variance_scaling_keeps_order(self, modules, sigma2, lam, factor):
+        net = CascadeNetwork(modules)
+        base = rank_emps(net, VarianceProfile(sigma2, lam))
+        scaled = rank_emps(net, VarianceProfile(sigma2 * factor, lam))
+        position = {e.canonical_index: k for k, e in enumerate(scaled.entries)}
+        assert sorted(position) == sorted(e.canonical_index for e in base.entries)
+        for k, a in enumerate(base.entries):
+            got = scaled.entries[position[a.canonical_index]]
+            assert got.value == pytest.approx(a.value / factor, rel=accuracy(a))
+            # patterns whose traces differ by more than their accuracy keep their order
+            for b in base.entries[k + 1:]:
+                if b.value > a.value * (1 + accuracy(a) + accuracy(b)):
+                    assert position[a.canonical_index] < position[b.canonical_index]
 
 
 class TestThreeNodeRule:
