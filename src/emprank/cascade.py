@@ -57,8 +57,10 @@ def _grid_size(modules, radii):
         n_fft *= 2
     while n_fft <= MAX_GRID:
         x = _grid(n_fft)
-        rest = [module_responses(m, x)[0] for k, m in enumerate(modules) if k != slow]
-        h = np.fft.irfft(module_responses(modules[slow], x)[1] * np.prod(rest, axis=0), n_fft)
+        rows = module_responses(modules[slow], x)[1]
+        for m in modules[:slow] + modules[slow + 1:]:
+            rows = rows * module_responses(m, x)[0]
+        h = np.fft.irfft(rows, n_fft)
         if np.all(np.linalg.norm(h[:, -(n_fft // 4):], axis=1) <= GRID_TAIL * np.linalg.norm(h, axis=1)):
             return n_fft
         n_fft *= 2

@@ -126,8 +126,7 @@ def information_batch(net, emps):
     pattern with P=None.  Returns one InfoResult per pattern, in order.
     """
     slices = net.param_slices
-    # einsum sums the pairs of each pattern in one fixed order, so a
-    # pattern's M does not depend on the batch it is evaluated in
+    # einsum's fixed summation order keeps each M independent of the batch
     M = np.einsum("ek,kab->eab", _pair_weights(net, emps), net.pair_grams.grams)
     norm = np.linalg.norm(M, axis=(1, 2))
     skew = np.linalg.norm(M - M.transpose(0, 2, 1), axis=(1, 2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
-from .fisher import CRITERIA, NonInformativeError, information_batch, information_matrix
+from .fisher import NonInformativeError, criterion, information_batch, information_matrix
 
 __all__ = [
     "EmpRanking",
@@ -114,8 +114,6 @@ class EmpRanking:
 
 def rank_emps(net, profile, kind="trace"):
     """Evaluate every minimal pattern of the network and sort by criterion."""
-    if kind not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {kind!r}")
     emps = [profile.emp_for(pattern) for pattern in enumerate_minimal(net.n)]
     entries = []
     dead = []
@@ -127,7 +125,7 @@ def rank_emps(net, profile, kind="trace"):
             RankEntry(
                 emp=emp,
                 canonical_index=idx,
-                value=res.criteria[kind],
+                value=criterion(res, kind),
                 block_traces=res.traces,
                 directs=direct_modules(emp),
                 info=res,
