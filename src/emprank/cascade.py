@@ -142,12 +142,6 @@ class CascadeNetwork:
     def identical_modules(self):
         return all(m == self._modules[0] for m in self._modules[1:])
 
-    def module_tf(self, k):
-        """Realized filter of module k (1-indexed)."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError(f"module index {k} outside 1..{self.n - 1}")
-        return self._tfs[k - 1]
-
     @property
     def param_slices(self):
         """Slice of each module's parameters in the module-major parameter vector."""

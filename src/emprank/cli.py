@@ -30,12 +30,11 @@ from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
 from .fisher import NonInformativeError, information_matrix
 from .lti import ParamModule, UnstableFilterError
 from .montecarlo import ScenarioConfig, ratio_stats, run_scenario
-from .pem import empirical_covariance
+from .pem import TRANSIENT, empirical_covariance
 from .ranking import VarianceProfile, covariance_block_identities, rank_emps, verify_mirror
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
-TRANSIENT_GUARD = 50
 
 
 class ConfigError(Exception):
@@ -380,8 +379,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "replications", None) is not None and args.replications < 30:
         parser.error("--replications must be at least 30")
-    if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT_GUARD:
-        parser.error(f"--samples must exceed the transient cut of {TRANSIENT_GUARD}")
+    if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT:
+        parser.error(f"--samples must exceed the transient cut of {TRANSIENT}")
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -6,6 +6,15 @@ least squares on the one-step predictions (damped Gauss-Newton with analytic
 gradients, weights 1/lambda_j from the true noise variances), and compare the
 sample covariance of sqrt(N)*(theta_hat - theta0) across replications with
 the theoretical per-sample covariance P.
+
+Simulation, prediction and the Jacobian share one pass down the chain
+(``_forward``).  It carries the noise-free node signals w[k] from node to
+node through the module between them, together with their parameter
+sensitivities s[k] = dw[k]/dtheta, filtered by the same module; the rows of
+module k itself are its derivative filters applied to w[k].  The one-step
+prediction of a measured node j is w[j] and the Jacobian of its residual is
+-s[j], so a linearization costs about one ``lfilter`` call per module and
+parameter, and no path product or gradient stack is formed.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ import numpy as np
 
 from .cascade import CascadeNetwork
 from .emp import Emp
-from .fisher import criterion, gradient_stack, information_matrix
-from .lti import ParamModule, is_stable, realize
+from .fisher import criterion, information_matrix
+from .lti import ParamModule, is_stable, param_jacobian, realize
 
 __all__ = [
     "CovarianceCheck",
@@ -56,6 +65,29 @@ class Dataset:
         return len(next(iter(self.y.values())))
 
 
+def _forward(modules, r, n_samples, sensitivities=False):
+    """Noise-free node signals of the chain driven by the excitations ``r``
+    (node -> signal), in one pass down it: w[k+1] = G_k w[k] + r[k+1], from
+    rest.  With ``sensitivities``, also s[k] = dw[k]/dtheta (module-major
+    rows, p x N per node): s[k+1] = G_k s[k], except that the rows of module
+    k are dG_{k,m} w[k].  Index 0 of both is unused."""
+    w = np.zeros((len(modules) + 2, n_samples))
+    for i, x in r.items():
+        w[i] = x
+    s = np.zeros((w.shape[0], sum(m.n_params for m in modules), n_samples)) if sensitivities else None
+    lo = 0  # first row of module k
+    for k, module in enumerate(modules, start=1):
+        b, a = realize(module).shift_coefficients()
+        w[k + 1] += lfilter(b, a, w[k])
+        if s is not None:
+            if lo:
+                s[k + 1, :lo] = lfilter(b, a, s[k, :lo])
+            for m, d in enumerate(param_jacobian(module)):
+                s[k + 1, lo + m] = lfilter(*d.shift_coefficients(), w[k])
+            lo += module.n_params
+    return w, s
+
+
 def simulate(net, emp, n_samples, seed=None):
     """Propagate white excitations down the cascade and add sensor noise.
 
@@ -64,7 +96,6 @@ def simulate(net, emp, n_samples, seed=None):
     noises in ascending order, all mutually independent Gaussians.
     """
     rng = np.random.default_rng(seed)
-    n = net.n
     r = {
         i: rng.normal(0.0, np.sqrt(emp.sigma2[i]), n_samples)
         for i in sorted(emp.excited)
@@ -73,14 +104,7 @@ def simulate(net, emp, n_samples, seed=None):
         j: rng.normal(0.0, np.sqrt(emp.lam[j]), n_samples) if emp.lam[j] > 0 else np.zeros(n_samples)
         for j in sorted(emp.measured)
     }
-    w = np.zeros((n + 1, n_samples))
-    if 1 in r:
-        w[1] = r[1]
-    for k in range(1, n):
-        b, a = net.module_tf(k).shift_coefficients()
-        w[k + 1] = lfilter(b, a, w[k])
-        if k + 1 in r:
-            w[k + 1] += r[k + 1]
+    w, _ = _forward(net.modules, r, n_samples)
     y = {j: w[j] + e[j] for j in sorted(emp.measured)}
     return Dataset(r=r, y=y, truth_net=net, truth_emp=emp, seed=seed)
 
@@ -104,20 +128,7 @@ def _try_network(modules):
     return CascadeNetwork(modules)
 
 
-def _predictions(net, data):
-    yhat = {}
-    for j in sorted(data.y):
-        total = np.zeros(data.n_samples)
-        for i in sorted(data.r):
-            if i > j:
-                continue
-            b, a = net.path_gain(i, j).shift_coefficients()
-            total += lfilter(b, a, data.r[i])
-        yhat[j] = total
-    return yhat
-
-
-def _residual_weights(data, transient):
+def _residual_weights(data):
     # noise-free channels (lam == 0) keep unit weight instead of an
     # infinite one; their residuals vanish at the truth anyway
     emp = data.truth_emp
@@ -127,42 +138,27 @@ def _residual_weights(data, transient):
     }
 
 
+def _residuals(data, w, transient):
+    """Weighted residuals y_j - w_j of the measured nodes, past the transient."""
+    return np.concatenate(
+        [(data.y[j] - w[j])[transient:] * c for j, c in _residual_weights(data).items()]
+    )
+
+
 def prediction_cost(data, modules, transient=TRANSIENT):
     """Weighted prediction-error cost sum_j sum_t (y_j - yhat_j)^2 / lambda_j,
     skipping the first ``transient`` samples."""
-    net = _try_network(modules)
-    if net is None:
+    if _try_network(modules) is None:
         return np.inf
-    weights = _residual_weights(data, transient)
-    yhat = _predictions(net, data)
-    cost = 0.0
-    for j in sorted(data.y):
-        res = (data.y[j] - yhat[j])[transient:] * weights[j]
-        cost += float(res @ res)
-    return cost
+    res = _residuals(data, _forward(modules, data.r, data.n_samples)[0], transient)
+    return float(res @ res)
 
 
 def _linearize(data, net, transient):
     """Stacked weighted residuals and their Jacobian w.r.t. all parameters."""
-    dims = [m.n_params for m in net.modules]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    weights = _residual_weights(data, transient)
-    yhat = _predictions(net, data)
-    res_parts = []
-    jac_parts = []
-    for j in sorted(data.y):
-        psi = np.zeros((data.n_samples, int(offsets[-1])))
-        for i in sorted(data.r):
-            if i >= j:
-                continue
-            stack = gradient_stack(net, i, j)
-            for k, entries in stack.blocks.items():
-                for m, tf in enumerate(entries):
-                    b, a = tf.shift_coefficients()
-                    psi[:, offsets[k - 1] + m] += lfilter(b, a, data.r[i])
-        res_parts.append((data.y[j] - yhat[j])[transient:] * weights[j])
-        jac_parts.append(-psi[transient:] * weights[j])
-    return np.concatenate(res_parts), np.vstack(jac_parts)
+    w, s = _forward(net.modules, data.r, data.n_samples, sensitivities=True)
+    jac = np.vstack([-s[j, :, transient:].T * c for j, c in _residual_weights(data).items()])
+    return _residuals(data, w, transient), jac
 
 
 @dataclass

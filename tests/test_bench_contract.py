@@ -1,0 +1,77 @@
+"""The benchmark's traced run can still find and read every function it wraps.
+
+``bench/tracing.py`` wraps emprank functions by name and lists the names it
+cannot find as absent layers.  A traced run with an absent layer leaves
+declared per-layer metrics out of its report, so renaming or deleting a
+wrapped name breaks the benchmark even though every check passes.  These
+tests fail first: when a wrapped name is missing, and when a wrapped
+function's return value no longer carries what its span counter reads.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import emprank
+from emprank import (
+    CascadeNetwork,
+    Emp,
+    ParamModule,
+    ScenarioConfig,
+    impulse_response,
+    information_matrix,
+    pem_fit,
+    realize,
+    run_scenario,
+    simulate,
+)
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # the tracer wraps a name in every emprank module already loaded
+    for info in pkgutil.iter_modules(emprank.__path__):
+        importlib.import_module(f"emprank.{info.name}")
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_exists(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        assert tracer.present == {name for _, _, name, _ in tracing.TARGETS}
+    finally:
+        tracer.uninstall()
+
+
+def test_counters_read_real_return_values(tracing):
+    net = CascadeNetwork(
+        [ParamModule("first_order", (-0.4, 1.2)), ParamModule("first_order", (0.3, 0.7))]
+    )
+    emp = Emp.uniform({1}, {2, 3}, 1.0, 0.1)
+    returns = {
+        "impulse_response": impulse_response(realize(net.modules[0])),
+        "information_matrix": information_matrix(net, emp),
+        "run_scenario": run_scenario(ScenarioConfig(n=3, family="first_order", runs=2)),
+        "pem_fit": pem_fit(simulate(net, emp, 300, seed=1), net.modules),
+    }
+    read = set()
+    for _, attr, name, counters in tracing.TARGETS:
+        if counters is None:
+            continue
+        counts = counters(returns[attr])
+        assert counts, name
+        for key, value in counts.items():
+            assert isinstance(value, (int, np.integer)) and value >= 0, (name, key, value)
+        read.add(attr)
+    assert read == set(returns)

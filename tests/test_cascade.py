@@ -54,10 +54,12 @@ def test_module_tf_indexing():
     g1 = ParamModule("fir", (1.0, 0.5))
     g2 = ParamModule("first_order", (0.4, 2.0))
     net = CascadeNetwork([g1, g2])
-    np.testing.assert_allclose(net.module_tf(1).num, [1.0, 0.5])
-    np.testing.assert_allclose(net.module_tf(2).num, [2.0])
-    with pytest.raises(ValueError):
-        net.module_tf(3)
+    b, a = realize(net.modules[0]).shift_coefficients()
+    np.testing.assert_allclose(b, [1.0, 0.5])
+    np.testing.assert_allclose(a, [1.0, 0.0])
+    b, a = realize(net.modules[1]).shift_coefficients()
+    np.testing.assert_allclose(b, [0.0, 2.0])
+    np.testing.assert_allclose(a, [1.0, 0.4])
 
 
 class TestPathGain:

@@ -285,7 +285,7 @@ class TestValidate:
             )
         assert exc.value.code == 2
 
-    def test_sample_floor_rejected(self, fir2):
+    def test_sample_floor_rejected(self, fir2, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
@@ -299,6 +299,7 @@ class TestValidate:
                 ]
             )
         assert exc.value.code == 2
+        assert "--samples must exceed the transient cut of 50" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -9,8 +9,10 @@ from emprank import (
     Emp,
     ParamModule,
     empirical_covariance,
+    gradient_stack,
     pem_fit,
     prediction_cost,
+    realize,
     simulate,
 )
 from emprank.pem import TRANSIENT, _linearize, _try_network
@@ -35,6 +37,24 @@ def three_node_fo():
     )
 
 
+def mixed_four_node():
+    return CascadeNetwork(
+        [
+            ParamModule("first_order", (0.5, 1.0)),
+            ParamModule("second_order", (1.0, 0.4, -0.5, 0.2)),
+            ParamModule("fir", (0.7, -0.3, 0.1)),
+        ]
+    )
+
+
+LINEARIZE_CASES = {
+    "fir2": (two_node_fir, Emp.uniform({1}, {2}, 1.0, 0.1)),
+    "first3": (three_node_fo, Emp.uniform({1}, {2, 3}, 1.0, 0.1)),
+    "first3-two-excited": (three_node_fo, Emp.uniform({1, 2}, {3}, 1.0, 0.1)),
+    "mixed4": (mixed_four_node, Emp.uniform({1, 2}, {3, 4}, 1.0, 0.1)),
+}
+
+
 class TestSimulate:
     def test_reproducible(self):
         net = three_node_fo()
@@ -49,8 +69,8 @@ class TestSimulate:
         net = three_node_fo()
         emp = Emp(frozenset({1, 3}), frozenset({2, 3}), {1: 1.0, 3: 2.0}, {2: 0.0, 3: 0.0})
         data = simulate(net, emp, 300, seed=1)
-        w2 = lfilter(*net.module_tf(1).shift_coefficients(), data.r[1])
-        w3 = lfilter(*net.module_tf(2).shift_coefficients(), w2) + data.r[3]
+        w2 = lfilter(*realize(net.modules[0]).shift_coefficients(), data.r[1])
+        w3 = lfilter(*realize(net.modules[1]).shift_coefficients(), w2) + data.r[3]
         np.testing.assert_allclose(data.y[2], w2, atol=1e-12)
         np.testing.assert_allclose(data.y[3], w3, atol=1e-12)
 
@@ -125,6 +145,35 @@ class TestPredictionCost:
         data = simulate(net, Emp.uniform({1}, {2}, 1.0, 0.1), 300, seed=7)
         with pytest.raises(ValueError, match="unstable"):
             prediction_cost_gradient(data, [ParamModule("first_order", (1.5, 1.0))])
+
+
+class TestLinearize:
+    @pytest.mark.parametrize("case", sorted(LINEARIZE_CASES))
+    def test_matches_path_and_gradient_stack_filters(self, case):
+        """The forward pass against the time-domain reference: predictions
+        from the path gains and Jacobian columns from the gradient stack
+        filters, each applied to the excitations with lfilter."""
+        build, emp = LINEARIZE_CASES[case]
+        net = build()
+        data = simulate(net, emp, 600, seed=13)
+        res, jac = _linearize(data, net, TRANSIENT)
+        offsets = np.cumsum([0] + [m.n_params for m in net.modules])
+        ref_res, ref_jac = [], []
+        for j in sorted(data.y):
+            yhat = np.zeros(data.n_samples)
+            psi = np.zeros((data.n_samples, offsets[-1]))
+            for i in sorted(r for r in data.r if r <= j):
+                yhat += lfilter(*net.path_gain(i, j).shift_coefficients(), data.r[i])
+                for k, filters in gradient_stack(net, i, j).blocks.items():
+                    for m, tf in enumerate(filters):
+                        psi[:, offsets[k - 1] + m] += lfilter(*tf.shift_coefficients(), data.r[i])
+            weight = 1.0 / np.sqrt(emp.lam[j])
+            ref_res.append((data.y[j] - yhat)[TRANSIENT:] * weight)
+            ref_jac.append(-psi[TRANSIENT:] * weight)
+        ref_res, ref_jac = np.concatenate(ref_res), np.vstack(ref_jac)
+        assert jac.shape == ref_jac.shape
+        np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12 * np.abs(ref_jac).max())
+        np.testing.assert_allclose(res, ref_res, rtol=1e-12, atol=1e-12 * np.abs(ref_res).max())
 
 
 class TestPemFit:
