@@ -30,15 +30,12 @@ from .fisher import (
 from .lti import (
     ParamModule,
     StructureError,
-    TransferFunction,
     UnstableFilterError,
     impulse_response,
     is_stable,
     param_jacobian,
     realize,
     series,
-    unit_filter,
-    zero_filter,
 )
 from .montecarlo import (
     Perturbation,
@@ -87,7 +84,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioReport",
     "StructureError",
-    "TransferFunction",
     "UnstableFilterError",
     "VarianceProfile",
     "covariance_block_identities",
@@ -116,7 +112,5 @@ __all__ = [
     "simulate",
     "snr_rule_3node",
     "snr_rule_4node",
-    "unit_filter",
     "verify_mirror",
-    "zero_filter",
 ]

@@ -15,11 +15,20 @@ frequencies of an N-point FFT grid, with the paths as prefix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .lti import UnstableFilterError, is_stable, module_responses, realize, series, unit_filter
+from .lti import (
+    FIR,
+    STABILITY_MARGIN,
+    ParamModule,
+    UnstableFilterError,
+    module_responses,
+    pole_radius,
+    realize,
+    series,
+)
 
 __all__ = ["CascadeNetwork", "PairGrams"]
 
@@ -28,6 +37,7 @@ __all__ = ["CascadeNetwork", "PairGrams"]
 GRID_TAIL = 1e-12
 MAX_GRID = 1 << 20
 CHUNK = 1 << 20  # stack entries evaluated at once (pairs x parameters x grid points)
+UNIT = realize(ParamModule(FIR, (1.0,)))  # the unit filter ([1.], [1.])
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,13 @@ class PairGrams:
     dst: np.ndarray
     grams: np.ndarray
     n_fft: int
+
+
+@lru_cache(maxsize=1024)
+def _radius(module):
+    """Pole radius of a module, cached like its filter: fits that start from
+    the same modules rebuild their network many times."""
+    return pole_radius(realize(module))
 
 
 def _grid(n_fft):
@@ -117,17 +134,13 @@ class CascadeNetwork:
         modules = tuple(modules)
         if not modules:
             raise ValueError("a cascade needs at least one module (two nodes)")
-        tfs = []
-        for k, module in enumerate(modules, start=1):
-            tf = realize(module)
-            if not is_stable(tf):
-                raise UnstableFilterError(
-                    f"module {k} is unstable (pole magnitude {tf.pole_radius():.6g})"
-                )
-            tfs.append(tf)
+        radii = tuple(_radius(m) for m in modules)
+        for k, rho in enumerate(radii, start=1):
+            if not rho < STABILITY_MARGIN:
+                raise UnstableFilterError(f"module {k} is unstable (pole magnitude {rho:.6g})")
         self._modules = modules
-        self._tfs = tuple(tfs)
-        self._paths = {}
+        self._radii = radii
+        self._paths = {(i, i): UNIT for i in range(1, len(modules) + 2)}
 
     @property
     def n(self):
@@ -154,27 +167,24 @@ class CascadeNetwork:
         UnstableFilterError, naming the module, when a pole lies so close to
         the unit circle (within about 1e-4) that the responses need more
         than MAX_GRID grid points."""
-        return _pair_grams(self._modules, [tf.pole_radius() for tf in self._tfs])
+        return _pair_grams(self._modules, self._radii)
 
     def path_gain(self, i, j):
-        """Product of the module filters along the path from node i to node j.
+        """Product (b, a) of the module filters along the path from node i to
+        node j, memoized.
 
-        path_gain(i, i) is the unit filter; i > j raises because a cascade has
-        no reverse paths.
+        path_gain(i, i) is the unit filter ([1.], [1.]); i > j raises because
+        a cascade has no reverse paths.
         """
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"nodes must lie in 1..{n}, got ({i}, {j})")
         if i > j:
             raise ValueError(f"no path from node {i} back to node {j} in a cascade")
-        if i == j:
-            return unit_filter()
-        key = (i, j)
-        tf = self._paths.get(key)
-        if tf is None:
-            tf = series(self.path_gain(i, j - 1), self._tfs[j - 2])
-            self._paths[key] = tf
-        return tf
+        pair = self._paths.get((i, j))
+        if pair is None:
+            pair = self._paths[i, j] = series(self.path_gain(i, j - 1), realize(self._modules[j - 2]))
+        return pair
 
     def __repr__(self):
         return f"CascadeNetwork(n={self.n}, modules={list(self._modules)!r})"

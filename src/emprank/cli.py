@@ -82,10 +82,13 @@ def load_network(path):
             f"network file says n={spec['n']} but lists {len(modules)} modules"
         )
     defaults = spec.get("defaults", {})
-    profile = VarianceProfile(
-        float(defaults.get("sigma2", 1.0)), float(defaults.get("lambda", 1.0))
-    )
-    return modules, profile
+    try:
+        sigma2, lam = (float(defaults.get(key, 1.0)) for key in ("sigma2", "lambda"))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad defaults in {path}: {exc}") from exc
+    if not (sigma2 > 0 and lam > 0):
+        raise ConfigError(f"defaults in {path}: sigma2 and lambda must be positive, got {sigma2}, {lam}")
+    return modules, VarianceProfile(sigma2, lam)
 
 
 def parse_emp_literal(text, n, profile):
@@ -129,6 +132,11 @@ def parse_emp_literal(text, n, profile):
     c = nodes(parts["C"], "C")
     sigma2 = variances("sigma2", b, profile.sigma2_at)
     lam = variances("lambda", c, profile.lam_at)
+    silent = [j for j in sorted(c) if lam[j] <= 0 and j > min(b)]
+    if silent:
+        raise ConfigError(
+            f"lambda at measured node {silent[0]} must be positive: it follows excited node {min(b)}"
+        )
     try:
         return Emp(frozenset(b), frozenset(c), sigma2, lam)
     except ValueError as exc:
@@ -377,6 +385,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", None) is not None and args.n < 2:
+        parser.error("-n must be at least 2")
     if getattr(args, "replications", None) is not None and args.replications < 30:
         parser.error("--replications must be at least 30")
     if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT:

@@ -53,7 +53,7 @@ class NonInformativeError(RuntimeError):
 class GradientStack:
     """Per-module derivative filters for one excited/measured node pair.
 
-    ``blocks[k]`` holds the tuple of entry filters for module k, present only
+    ``blocks[k]`` holds the entry filters (b, a) of module k, present only
     for i <= k < j; other modules are structurally absent from the stack.
     """
 
@@ -88,7 +88,6 @@ class InfoResult:
     rcond: float
     param_slices: list
     criteria: dict
-    asymmetry: float
     traces: list  # per-module block traces of P, None when non-informative
 
     @property
@@ -121,17 +120,14 @@ def information_batch(net, emps):
 
     Parameters are ordered module-major (all of module 1, then module 2, ...).
     Only excited/measured pairs with i < j contribute.  Each assembled matrix
-    is symmetrized, and inverted only when its eigenvalue ratio clears
-    RCOND_THRESHOLD; otherwise its result reports a non-informative
-    pattern with P=None.  Returns one InfoResult per pattern, in order.
+    is inverted only when its eigenvalue ratio clears RCOND_THRESHOLD;
+    otherwise its result reports a non-informative pattern with P=None.
+    Returns one InfoResult per pattern, in order.
     """
     slices = net.param_slices
-    # einsum's fixed summation order keeps each M independent of the batch
+    # einsum's fixed summation order keeps each M independent of the batch,
+    # and exactly symmetric, since the pair Grams are
     M = np.einsum("ek,kab->eab", _pair_weights(net, emps), net.pair_grams.grams)
-    norm = np.linalg.norm(M, axis=(1, 2))
-    skew = np.linalg.norm(M - M.transpose(0, 2, 1), axis=(1, 2))
-    asymmetry = np.divide(skew, norm, out=np.zeros_like(norm), where=norm > 0).tolist()
-    M = 0.5 * (M + M.transpose(0, 2, 1))
     w, v = np.linalg.eigh(M)
     top = w[:, -1]
     rcond = np.divide(np.maximum(w[:, 0], 0.0), top, out=np.zeros_like(top), where=top > 0)
@@ -145,11 +141,10 @@ def information_batch(net, emps):
     rcond = rcond.tolist()
     return [
         InfoResult(
-            M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]},
-            asymmetry[e], traces[e].tolist(),
+            M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]}, traces[e].tolist()
         )
         if ok[e]
-        else InfoResult(M[e], None, rcond[e], slices, None, asymmetry[e], None)
+        else InfoResult(M[e], None, rcond[e], slices, None, None)
         for e in range(len(emps))
     ]
 

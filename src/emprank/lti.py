@@ -1,11 +1,12 @@
-"""Discrete-time SISO transfer functions and parametrized module families.
+"""Discrete-time SISO filters and parametrized module families.
 
-Filters are ratios of polynomials in the forward-shift operator q, stored in
-descending powers of q with a monic denominator: b/(q + a) is num=[b],
-den=[1, a].  Impulse responses are the one-sided sequences h(0), h(1), ...
-of the equivalent q^{-1} difference equation, so a length-(M+1) FIR module
-g_0 + g_1 q^{-1} + ... + g_M q^{-M} has numerator [g_0, ..., g_M] over the
-pure-delay denominator q^M and is exactly its own impulse response.
+A filter is a plain pair (b, a) of read-only float arrays holding the
+coefficients of B(q^-1)/A(q^-1) in ascending powers of q^-1, as
+``scipy.signal.lfilter`` takes them, with a[0] = 1 and len(b) == len(a):
+b/(q + a) is ([0, b], [1, a]).  Impulse responses are the one-sided
+sequences h(0), h(1), ... of that difference equation, so a length-(M+1)
+FIR module g_0 + g_1 q^-1 + ... + g_M q^-M is ([g_0, ..., g_M],
+[1, 0, ..., 0]) and b is exactly its own impulse response.
 
 Three module families are supported:
 
@@ -34,16 +35,14 @@ __all__ = [
     "STABILITY_MARGIN",
     "ParamModule",
     "StructureError",
-    "TransferFunction",
     "UnstableFilterError",
     "impulse_response",
     "is_stable",
     "module_responses",
     "param_jacobian",
+    "pole_radius",
     "realize",
     "series",
-    "unit_filter",
-    "zero_filter",
 ]
 
 STABILITY_MARGIN = 1.0 - 1e-9
@@ -57,7 +56,7 @@ FAMILIES = (FIR, FIRST_ORDER, SECOND_ORDER)
 
 
 class StructureError(ValueError):
-    """Coefficients or parameters do not define a valid filter."""
+    """Module parameters do not define a valid filter."""
 
 
 class UnstableFilterError(ValueError):
@@ -65,108 +64,45 @@ class UnstableFilterError(ValueError):
     circle, or so close to it that the response never decays in practice."""
 
 
-def _as_poly(c, what):
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.ndim != 1 or c.size == 0:
-        raise StructureError(f"{what} must be a non-empty 1-d coefficient array")
-    if not np.all(np.isfinite(c)):
-        raise StructureError(f"{what} has non-finite coefficients")
-    return c
+def _pair(num, den):
+    """Read-only (b, a) of num(q)/den(q), given in descending powers of q with
+    den monic: num zero-padded in front to the length of den."""
+    a = np.array(den, dtype=float)
+    b = np.zeros(a.size)
+    b[a.size - len(num):] = num
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
 
 
-def _trim_leading(c):
-    nz = np.flatnonzero(c)
-    if nz.size == 0:
-        return c[-1:]
-    return c[nz[0]:]
+def pole_radius(filt):
+    """Largest pole magnitude of the filter (b, a); 0 for a delay line."""
+    a = filt[1]
+    return float(np.max(np.abs(np.roots(a)))) if np.any(a[1:]) else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class TransferFunction:
-    """Proper rational filter num(q)/den(q) with a monic denominator."""
-
-    num: np.ndarray
-    den: np.ndarray
-
-    def __init__(self, num, den):
-        num = _trim_leading(_as_poly(num, "numerator"))
-        den = _trim_leading(_as_poly(den, "denominator"))
-        if den[0] == 0.0:
-            raise StructureError("denominator is identically zero")
-        if num.size > den.size:
-            raise StructureError("filter is improper (numerator degree exceeds denominator)")
-        num = num / den[0]
-        den = den / den[0]
-        num.flags.writeable = False
-        den.flags.writeable = False
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @property
-    def order(self):
-        return self.den.size - 1
-
-    @property
-    def is_delay_line(self):
-        """True when the denominator is a pure power of q (FIR-type filter)."""
-        return self.den.size == 1 or not np.any(self.den[1:])
-
-    def poles(self):
-        if self.den.size == 1:
-            return np.empty(0, dtype=complex)
-        return np.roots(self.den)
-
-    def pole_radius(self):
-        cached = self.__dict__.get("_rho")
-        if cached is None:
-            cached = 0.0 if self.is_delay_line else float(np.max(np.abs(self.poles())))
-            object.__setattr__(self, "_rho", cached)
-        return cached
-
-    def shift_coefficients(self):
-        """(b, a) pair in powers of q^{-1}, suitable for scipy.signal.lfilter."""
-        pad = np.zeros(self.den.size - self.num.size)
-        return np.concatenate([pad, self.num]), self.den
-
-    def evaluate(self, z):
-        """Frequency/complex response num(z)/den(z)."""
-        return np.polyval(self.num, z) / np.polyval(self.den, z)
-
-    def __repr__(self):
-        return f"TransferFunction(num={self.num.tolist()}, den={self.den.tolist()})"
-
-
-def unit_filter():
-    return TransferFunction([1.0], [1.0])
-
-
-def zero_filter():
-    return TransferFunction([0.0], [1.0])
-
-
-def is_stable(tf, margin=STABILITY_MARGIN):
+def is_stable(filt, margin=STABILITY_MARGIN):
     """True iff every pole magnitude is strictly below ``margin``."""
-    return tf.pole_radius() < margin
+    return pole_radius(filt) < margin
 
 
-def series(a, b):
-    """Cascade product a*b by polynomial convolution; no pole-zero cancellation."""
-    return TransferFunction(np.convolve(a.num, b.num), np.convolve(a.den, b.den))
+def series(f, g):
+    """Cascade product f*g by polynomial convolution; no pole-zero cancellation."""
+    return _pair(np.convolve(f[0], g[0]), np.convolve(f[1], g[1]))
 
 
-def _strip_tail(h, tol):
+def _kept(h, tol):
+    """Samples up to the last one with |h(k)| >= tol, at least one."""
     above = np.flatnonzero(np.abs(h) >= tol)
-    cut = int(above[-1]) + 1 if above.size else 1
-    return h[:cut]
+    return int(above[-1]) + 1 if above.size else 1
 
 
-def impulse_response(tf, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
-    """Truncated impulse response of a stable filter.
+def impulse_response(filt, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
+    """Truncated impulse response of a stable filter (b, a).
 
     Returns ``(h, converged)`` where ``h`` keeps every sample up to the last
     one with ``|h(k)| >= tail_tol``.  For delay-line (FIR-type) filters the
-    response is the padded numerator, exact by construction.  For genuinely
-    rational filters the recursion is run until a trailing window of
+    response is b itself, exact by construction.  For genuinely rational
+    filters the recursion is run until a trailing window of
     ``max(8, 2*order)`` consecutive samples sits below ``tail_tol``; the
     geometric envelope rho^k set by the largest pole magnitude rho < 1 then
     keeps every later sample below the tolerance as well.  If ``max_len`` is
@@ -179,27 +115,22 @@ def impulse_response(tf, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
     """
     from scipy.signal import lfilter
 
-    b, a = tf.shift_coefficients()
-    if tf.is_delay_line:
+    b, a = filt
+    rho = pole_radius(filt)
+    if rho == 0.0:
         h = np.array(b, dtype=float)
         if h.size > max_len:
-            dropped = h[max_len:]
-            return h[:max_len], bool(np.all(np.abs(dropped) < tail_tol))
-        return _strip_tail(h, tail_tol), True
-    if not is_stable(tf):
-        raise UnstableFilterError(
-            f"impulse response diverges: largest pole magnitude {tf.pole_radius():.6g}"
-        )
-    rho = tf.pole_radius()
-    window = max(8, 2 * tf.order)
-    guess = b.size + window + int(np.ceil(np.log(tail_tol) / np.log(rho))) if rho > 0 else b.size + window
-    n = int(min(max_len, max(64, guess)))
+            return h[:max_len], bool(np.all(np.abs(h[max_len:]) < tail_tol))
+        return h[: _kept(h, tail_tol)], True
+    if not is_stable(filt):
+        raise UnstableFilterError(f"impulse response diverges: largest pole magnitude {rho:.6g}")
+    window = max(8, 2 * (len(a) - 1))
+    n = int(min(max_len, max(64, len(b) + window + int(np.ceil(np.log(tail_tol) / np.log(rho))))))
     while True:
         x = np.zeros(n)
         x[0] = 1.0
         h = lfilter(b, a, x)
-        above = np.flatnonzero(np.abs(h) >= tail_tol)
-        cut = int(above[-1]) + 1 if above.size else 1
+        cut = _kept(h, tail_tol)
         if n - cut >= window:
             return h[:cut], True
         if n >= max_len:
@@ -234,17 +165,20 @@ class ParamModule:
         return len(self.theta)
 
 
-@lru_cache(maxsize=1024)
-def realize(module):
-    """Build the TransferFunction a ParamModule parametrizes."""
+def _num_den(module):
+    """Numerator and denominator of a module in descending powers of q."""
     t = np.asarray(module.theta)
     if module.family == FIR:
-        return TransferFunction(t, np.concatenate([[1.0], np.zeros(t.size - 1)]))
+        return t, np.eye(1, t.size)[0]
     if module.family == FIRST_ORDER:
-        a, b = t
-        return TransferFunction([b], [1.0, a])
-    num, den = t[:2], np.concatenate([[1.0], t[2:]])
-    return TransferFunction(num, den)
+        return t[1:], np.array([1.0, t[0]])
+    return t[:2], np.concatenate([[1.0], t[2:]])
+
+
+@lru_cache(maxsize=1024)
+def realize(module):
+    """The filter (b, a) a ParamModule parametrizes."""
+    return _pair(*_num_den(module))
 
 
 @lru_cache(maxsize=1024)
@@ -256,24 +190,18 @@ def param_jacobian(module):
     coefficient of q^j is q^j/A(q) and with respect to a denominator
     coefficient of q^j is -q^j B(q)/A(q)^2.
     """
-    tf = realize(module)
     if module.family == FIR:
-        return tuple(
-            TransferFunction([1.0], np.concatenate([[1.0], np.zeros(k)]))
-            for k in range(module.n_params)
-        )
-    den2 = np.convolve(tf.den, tf.den)
+        return tuple(_pair([1.0], np.eye(1, k + 1)[0]) for k in range(module.n_params))
+    num, den = _num_den(module)
+    den2 = np.convolve(den, den)
     if module.family == FIRST_ORDER:
-        return (
-            TransferFunction(-tf.num, den2),     # d/da of b/(q+a)
-            TransferFunction([1.0], tf.den),     # d/db
-        )
+        return _pair(-num, den2), _pair([1.0], den)  # d/da, d/db of b/(q+a)
     q = np.array([1.0, 0.0])
     return (
-        TransferFunction(q, tf.den),                       # d/dt1: q/A
-        TransferFunction([1.0], tf.den),                   # d/dt2: 1/A
-        TransferFunction(-np.convolve(q, tf.num), den2),   # d/dt3: -qB/A^2
-        TransferFunction(-tf.num, den2),                   # d/dt4: -B/A^2
+        _pair(q, den),                       # d/dt1: q/A
+        _pair([1.0], den),                   # d/dt2: 1/A
+        _pair(-np.convolve(q, num), den2),   # d/dt3: -qB/A^2
+        _pair(-num, den2),                   # d/dt4: -B/A^2
     )
 
 
@@ -281,7 +209,7 @@ def module_responses(module, x):
     """Response G = B/A of a module and of its ``param_jacobian`` filters (one
     row per parameter) at unit delays x = e^{-iw}: q^-m/A for a numerator and
     -q^-m G/A for a denominator coefficient, never squaring out A."""
-    b, a = realize(module).shift_coefficients()
+    b, a = realize(module)
     den = np.polyval(a[::-1], x)
     g = np.polyval(b[::-1], x) / den
     if module.family == FIR:

@@ -26,7 +26,7 @@ import numpy as np
 from .cascade import CascadeNetwork
 from .emp import Emp
 from .fisher import criterion, information_matrix
-from .lti import ParamModule, is_stable, param_jacobian, realize
+from .lti import ParamModule, UnstableFilterError, param_jacobian, realize
 
 __all__ = [
     "CovarianceCheck",
@@ -77,13 +77,13 @@ def _forward(modules, r, n_samples, sensitivities=False):
     s = np.zeros((w.shape[0], sum(m.n_params for m in modules), n_samples)) if sensitivities else None
     lo = 0  # first row of module k
     for k, module in enumerate(modules, start=1):
-        b, a = realize(module).shift_coefficients()
+        b, a = realize(module)
         w[k + 1] += lfilter(b, a, w[k])
         if s is not None:
             if lo:
                 s[k + 1, :lo] = lfilter(b, a, s[k, :lo])
             for m, d in enumerate(param_jacobian(module)):
-                s[k + 1, lo + m] = lfilter(*d.shift_coefficients(), w[k])
+                s[k + 1, lo + m] = lfilter(*d, w[k])
             lo += module.n_params
     return w, s
 
@@ -123,9 +123,11 @@ def _rebuild(structure, flat):
 
 
 def _try_network(modules):
-    if any(not is_stable(realize(m)) for m in modules):
+    """The network of the modules, or None when one of them is unstable."""
+    try:
+        return CascadeNetwork(modules)
+    except UnstableFilterError:
         return None
-    return CascadeNetwork(modules)
 
 
 def _residual_weights(data):

@@ -4,12 +4,20 @@ import pytest
 from emprank import CascadeNetwork, ParamModule, impulse_response
 
 
+def filt(num, den):
+    """The filter num(q)/den(q), given in descending powers of q with a monic
+    den of degree at least that of num, as the package's (b, a) pair in
+    powers of q^-1: num zero-padded in front to the length of den."""
+    a = np.asarray(den, dtype=float)
+    return np.concatenate([np.zeros(a.size - len(num)), num]), a
+
+
 def white_correlation(a, b, variance):
     """Correlation matrix of two filter banks driven by shared white noise:
     entry (p, q) is variance * sum_t h_{a_p}(t) h_{b_q}(t), summed over
     impulse responses in the time domain, independently of the package's
     Parseval Grams."""
-    rows = [impulse_response(tf)[0] for tf in list(a) + list(b)]
+    rows = [impulse_response(f)[0] for f in list(a) + list(b)]
     h = np.zeros((len(rows), max(r.size for r in rows)))
     for out, r in zip(h, rows):
         out[: r.size] = r

@@ -357,10 +357,8 @@ def test_criterion_11_engine_oracle():
                 continue
             stack = gradient_stack(net, i, j)
             for k, filters in stack.blocks.items():
-                for m, tf in enumerate(filters):
-                    psi[offsets[k] + m] += lfilter(
-                        *tf.shift_coefficients(), excite[i]
-                    )
+                for m, f in enumerate(filters):
+                    psi[offsets[k] + m] += lfilter(*f, excite[i])
         estimate += psi[:, cut:] @ psi[:, cut:].T / (n_samples - cut) / emp.lam[j]
     scaled_error = np.abs(estimate - res.M) / np.abs(res.M).max()
     assert scaled_error.max() < 0.02

@@ -4,10 +4,12 @@
 cannot find as absent layers.  A traced run with an absent layer leaves
 declared per-layer metrics out of its report, so renaming or deleting a
 wrapped name breaks the benchmark even though every check passes.  These
-tests fail first: when a wrapped name is missing, and when a wrapped
-function's return value no longer carries what its span counter reads.
+tests fail first: when a wrapped name is missing, when a wrapped function's
+return value no longer carries what its span counter reads, and when a name
+the workloads and checks read off emprank or one of its modules is gone.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -30,7 +32,8 @@ from emprank import (
     simulate,
 )
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +78,34 @@ def test_counters_read_real_return_values(tracing):
             assert isinstance(value, (int, np.integer)) and value >= 0, (name, key, value)
         read.add(attr)
     assert read == set(returns)
+
+
+def _emprank_reads(tree):
+    """(module, attribute) of every ``alias.attribute`` read in the tree, where
+    the alias names emprank or one of its modules (``import emprank as ep``,
+    ``from emprank import montecarlo as mc``)."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "emprank":
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "emprank":
+            for a in node.names:
+                aliases[a.asname or a.name] = f"emprank.{a.name}"
+    return {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases
+    }
+
+
+def test_every_name_bench_reads_exists():
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        reads |= _emprank_reads(ast.parse(path.read_text(), str(path)))
+    assert {module for module, _ in reads} >= {"emprank", "emprank.montecarlo"}
+    missing = sorted(
+        f"{module}.{attr}" for module, attr in reads if not hasattr(importlib.import_module(module), attr)
+    )
+    assert not missing

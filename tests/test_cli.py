@@ -335,6 +335,36 @@ class TestErrorPaths:
         assert main(["rank", "--network", str(net3), "--emp", "B=1;C=2,3;sigma2=1,2"]) == 2
         capsys.readouterr()
 
+    def test_zero_lambda_in_pattern_literal(self, capsys, net3):
+        assert main(["rank", "--network", str(net3), "--emp", "B=1;C=2,3;lambda=0"]) == 2
+        assert "lambda at measured node 2 must be positive" in capsys.readouterr().err
+
+    def test_zero_lambda_at_later_measured_node(self, capsys, net3):
+        code = main(
+            ["validate", "--network", str(net3), "--emp", "B=1;C=2,3;lambda=0.1,0", "--replications", "30"]
+        )
+        assert code == 2
+        assert "lambda at measured node 3 must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "defaults, message",
+        [({"lambda": 0}, "must be positive"), ({"sigma2": "abc"}, "bad defaults")],
+        ids=["zero-lambda", "non-numeric-sigma2"],
+    )
+    def test_bad_defaults(self, tmp_path, capsys, defaults, message):
+        path = tmp_path / "defaults.json"
+        path.write_text(
+            json.dumps({"modules": [{"family": "fir", "theta": [1.0]}] * 2, "defaults": defaults})
+        )
+        assert main(["rank", "--network", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_enumerate_too_few_nodes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "-n", "1"])
+        assert exc.value.code == 2
+        assert "-n must be at least 2" in capsys.readouterr().err
+
     def test_slow_decaying_module(self, tmp_path):
         # pole radius 1 - 1e-5: the Grams would need a grid past 2^20 points
         path = tmp_path / "slow.json"

@@ -14,17 +14,17 @@ from emprank import (
     Emp,
     NonInformativeError,
     ParamModule,
-    TransferFunction,
     criterion,
     gradient_stack,
     information_matrix,
-    unit_filter,
 )
-from conftest import identical_network, random_network, white_correlation
+from conftest import filt, identical_network, random_network, white_correlation
+
+UNIT = filt([1.0], [1.0])
 
 
 def delays(*lags):
-    return [TransferFunction([1.0], [1.0] + [0.0] * k) for k in lags]
+    return [filt([1.0], [1.0] + [0.0] * k) for k in lags]
 
 
 class TestWhiteCorrelation:
@@ -33,30 +33,30 @@ class TestWhiteCorrelation:
         np.testing.assert_allclose(c, np.eye(2), atol=1e-14)
 
     def test_fir_energy(self):
-        f = [TransferFunction([1.0, -0.3], [1.0, 0.0])]
+        f = [filt([1.0, -0.3], [1.0, 0.0])]
         c = white_correlation(f, f, 1.0)
         assert c[0, 0] == pytest.approx(1.09, rel=1e-12)
 
     def test_geometric_energy(self):
         # 1/(q-0.5) has energy sum 0.25^k = 4/3
-        f = [TransferFunction([1.0], [1.0, -0.5])]
+        f = [filt([1.0], [1.0, -0.5])]
         c = white_correlation(f, f, 1.0)
         assert c[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_variance_scaling(self):
-        f = [unit_filter()]
+        f = [UNIT]
         c = white_correlation(f, f, 2.5)
         assert c[0, 0] == pytest.approx(2.5, rel=1e-14)
 
     def test_cross_correlation_by_simulation(self, rng):
         """Time-domain oracle: covariance of two filtered white noises."""
-        a = TransferFunction([1.0], [1.0, -0.6])
-        b = TransferFunction([0.5, 0.2], [1.0, 0.3, 0.0])
+        a = filt([1.0], [1.0, -0.6])
+        b = filt([0.5, 0.2], [1.0, 0.3, 0.0])
         c = white_correlation([a], [b], 1.0)
         n = 400_000
         e = rng.normal(0, 1.0, n)
-        xa = lfilter(*a.shift_coefficients(), e)
-        xb = lfilter(*b.shift_coefficients(), e)
+        xa = lfilter(*a, e)
+        xb = lfilter(*b, e)
         est = float(np.mean(xa[200:] * xb[200:]))
         assert c[0, 0] == pytest.approx(est, abs=0.01)
 
@@ -86,7 +86,7 @@ class TestGradientStack:
             [ParamModule("fir", (0.8,)), ParamModule("fir", (-1.2,))]
         )
         st = gradient_stack(net, 1, 3)
-        probe = [unit_filter()]
+        probe = [UNIT]
         e1 = white_correlation(list(st.blocks[1]), probe, 1.0)
         e2 = white_correlation(list(st.blocks[2]), probe, 1.0)
         assert e1[0, 0] == pytest.approx(-1.2)
@@ -147,9 +147,8 @@ class TestInformationMatrix:
     def test_symmetry_and_positive_semidefinite(self, rng):
         net = random_network(rng, 5)
         res = information_matrix(net, emp_of((frozenset({1, 3}), frozenset({2, 4, 5}))))
-        np.testing.assert_allclose(res.M, res.M.T, atol=1e-12)
+        np.testing.assert_array_equal(res.M, res.M.T)
         assert np.linalg.eigvalsh(res.M).min() > -1e-10
-        assert res.asymmetry < 1e-10
 
     def test_zero_noise_rejected(self):
         net = CascadeNetwork([ParamModule("fir", (1.0,))])
@@ -183,8 +182,8 @@ class TestInformationMatrix:
             r = rng.normal(0, 1.0, n)
             st = gradient_stack(net, i, 3)
             for k, filters in st.blocks.items():
-                for m, tf in enumerate(filters):
-                    psi[offs[k] + m] += lfilter(*tf.shift_coefficients(), r)
+                for m, f in enumerate(filters):
+                    psi[offs[k] + m] += lfilter(*f, r)
         est = psi[:, 500:] @ psi[:, 500:].T / (n - 500) / emp.lam[3]
         scale = np.abs(res.M).max()
         np.testing.assert_allclose(est, res.M, atol=0.03 * scale)

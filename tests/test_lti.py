@@ -1,4 +1,4 @@
-"""Transfer-function primitives: realization, impulse responses, jacobians."""
+"""Filter primitives: realization, impulse responses, jacobians."""
 
 import numpy as np
 import pytest
@@ -8,83 +8,94 @@ from hypothesis import strategies as st
 from emprank import (
     ParamModule,
     StructureError,
-    TransferFunction,
     UnstableFilterError,
     impulse_response,
     is_stable,
     param_jacobian,
     realize,
     series,
-    unit_filter,
-    zero_filter,
 )
+from emprank.lti import module_responses, pole_radius
+from conftest import filt
+
+MODULES = [
+    ParamModule("fir", (0.5, -0.2, 0.1)),
+    ParamModule("fir", (0.0, 0.4, -0.3)),  # zero first tap
+    ParamModule("fir", (0.8,)),
+    ParamModule("first_order", (0.3, 1.5)),
+    ParamModule("second_order", (1.0, -0.5, 0.2, 0.08)),
+    ParamModule("second_order", (0.0, 0.7, -0.4, 0.1)),  # t1 = 0
+]
 
 
-class TestTransferFunction:
-    def test_monic_normalization(self):
-        tf = TransferFunction([2.0, 1.0], [2.0, 0.0])
-        assert tf.den[0] == 1.0
-        np.testing.assert_allclose(tf.num, [1.0, 0.5])
+def _filters(module):
+    return [realize(module), *param_jacobian(module)]
 
-    def test_leading_zero_trim(self):
-        tf = TransferFunction([0.0, 0.0, 3.0], [0.0, 1.0, 0.5])
-        np.testing.assert_allclose(tf.num, [3.0])
-        np.testing.assert_allclose(tf.den, [1.0, 0.5])
 
-    def test_improper_rejected(self):
-        with pytest.raises(StructureError):
-            TransferFunction([1.0, 0.0, 0.0], [1.0, 0.5])
+class TestFilterPairs:
+    def test_monic_equal_length(self):
+        for b, a in (f for module in MODULES for f in _filters(module)):
+            assert b.dtype == a.dtype == float
+            assert b.ndim == a.ndim == 1
+            assert len(b) == len(a)
+            assert a[0] == 1.0
 
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(StructureError):
-            TransferFunction([1.0], [0.0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(StructureError):
-            TransferFunction([np.nan], [1.0])
+    def test_zero_leading_coefficients_kept(self):
+        b, a = realize(ParamModule("fir", (0.0, 0.4, -0.3)))
+        np.testing.assert_array_equal(b, [0.0, 0.4, -0.3])
+        np.testing.assert_array_equal(a, [1.0, 0.0, 0.0])
+        b, a = realize(ParamModule("second_order", (0.0, 0.7, -0.4, 0.1)))
+        np.testing.assert_array_equal(b, [0.0, 0.0, 0.7])
+        np.testing.assert_array_equal(a, [1.0, -0.4, 0.1])
 
     def test_readonly_arrays(self):
-        tf = unit_filter()
-        with pytest.raises(ValueError):
-            tf.num[0] = 2.0
+        for b, a in (f for module in MODULES for f in _filters(module)):
+            with pytest.raises(ValueError):
+                b[0] = 2.0
+            with pytest.raises(ValueError):
+                a[0] = 2.0
 
-    def test_evaluate_matches_polynomial_ratio(self):
+    def test_response_matches_polynomial_ratio(self):
         # G(z) = (z + 2) / (z^2 + 0.5 z + 0.1) at z = 2
-        tf = TransferFunction([1.0, 2.0], [1.0, 0.5, 0.1])
+        module = ParamModule("second_order", (1.0, 2.0, 0.5, 0.1))
+        b, a = realize(module)
         expected = (2 + 2) / (4 + 1 + 0.1)
-        assert tf.evaluate(2.0) == pytest.approx(expected, rel=1e-14)
+        assert np.polyval(b, 2.0) / np.polyval(a, 2.0) == pytest.approx(expected, rel=1e-14)
+        g, _ = module_responses(module, np.array([0.5]))
+        assert g[0] == pytest.approx(expected, rel=1e-14)
 
-    def test_delay_line_detection(self):
-        assert TransferFunction([1.0, -0.3], [1.0, 0.0]).is_delay_line
-        assert not TransferFunction([1.0], [1.0, -0.5]).is_delay_line
+    def test_delay_line_radius_zero(self):
+        assert pole_radius(filt([1.0, -0.3], [1.0, 0.0])) == 0.0
+        assert pole_radius(realize(ParamModule("fir", (0.5, -0.2, 0.1)))) == 0.0
+        assert pole_radius(filt([1.0], [1.0, -0.5])) > 0.0
 
     def test_pole_radius(self):
-        tf = TransferFunction([1.0], [1.0, -0.9])
-        assert tf.pole_radius() == pytest.approx(0.9, rel=1e-12)
+        assert pole_radius(filt([1.0], [1.0, -0.9])) == pytest.approx(0.9, rel=1e-12)
 
 
 class TestStability:
     def test_stable_inside_unit_circle(self):
-        assert is_stable(TransferFunction([1.0], [1.0, 0.5]))
+        assert is_stable(filt([1.0], [1.0, 0.5]))
 
     def test_unstable_outside(self):
-        assert not is_stable(TransferFunction([1.0], [1.0, -1.1]))
+        assert not is_stable(filt([1.0], [1.0, -1.1]))
 
     def test_fir_always_stable(self):
-        assert is_stable(TransferFunction([5.0, 2.0, 1.0], [1.0, 0.0, 0.0]))
+        assert is_stable(filt([5.0, 2.0, 1.0], [1.0, 0.0, 0.0]))
 
 
 class TestSeries:
     def test_unit_is_identity(self):
-        g = TransferFunction([1.0, -0.4], [1.0, 0.2])
-        c = series(g, unit_filter())
-        np.testing.assert_allclose(c.num, g.num)
-        np.testing.assert_allclose(c.den, g.den)
+        g = filt([1.0, -0.4], [1.0, 0.2])
+        b, a = series(g, ([1.0], [1.0]))
+        np.testing.assert_array_equal(b, g[0])
+        np.testing.assert_array_equal(a, g[1])
 
     def test_square_of_first_order(self):
-        g = TransferFunction([1.0], [1.0, -0.5])
-        c = series(g, g)
-        np.testing.assert_allclose(c.den, [1.0, -1.0, 0.25])
+        g = filt([1.0], [1.0, -0.5])
+        b, a = series(g, g)
+        np.testing.assert_array_equal(b, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(a, [1.0, -1.0, 0.25])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -97,8 +108,8 @@ class TestSeries:
             t1 = [1.0] + list(t1)
         if not any(abs(x) > 1e-3 for x in t2):
             t2 = [1.0] + list(t2)
-        f = TransferFunction(t1, [1.0] + [0.0] * (len(t1) - 1))
-        g = TransferFunction(t2, [1.0] + [0.0] * (len(t2) - 1))
+        f = filt(t1, [1.0] + [0.0] * (len(t1) - 1))
+        g = filt(t2, [1.0] + [0.0] * (len(t2) - 1))
         h, ok = impulse_response(series(f, g), max_len=64)
         assert ok
         ref = np.convolve(np.asarray(t1, float), np.asarray(t2, float))
@@ -110,20 +121,20 @@ class TestSeries:
 
 class TestImpulseResponse:
     def test_fir_is_exact(self):
-        h, ok = impulse_response(TransferFunction([1.0, -0.3], [1.0, 0.0]))
+        h, ok = impulse_response(filt([1.0, -0.3], [1.0, 0.0]))
         assert ok
         np.testing.assert_array_equal(h, [1.0, -0.3])
 
     def test_geometric_series(self):
         # 1/(q - 0.5): h = [0, 1, 0.5, 0.25, ...]
-        h, ok = impulse_response(TransferFunction([1.0], [1.0, -0.5]))
+        h, ok = impulse_response(filt([1.0], [1.0, -0.5]))
         assert ok
         np.testing.assert_allclose(h[:4], [0.0, 1.0, 0.5, 0.25], rtol=1e-12)
 
     def test_truncation_length_slow_pole(self):
         # pole at 0.9, default tail 1e-12: |h[k]| = 0.9^(k-1) stays above
         # tolerance through index 263, giving 264 samples (recursion oracle)
-        h, ok = impulse_response(TransferFunction([1.0], [1.0, -0.9]))
+        h, ok = impulse_response(filt([1.0], [1.0, -0.9]))
         assert ok
         assert h.size == 264
         assert abs(h[-1]) >= 1e-12
@@ -131,8 +142,7 @@ class TestImpulseResponse:
     def test_matches_direct_recursion(self):
         b = [0.5, 0.2]
         a = [1.0, -0.9, 0.4]
-        tf = TransferFunction(b, a)
-        h, ok = impulse_response(tf)
+        h, ok = impulse_response(filt(b, a))
         assert ok
         # shift-operator form: pad the numerator by the relative degree
         bpad = [0.0] * (len(a) - len(b)) + b
@@ -146,36 +156,36 @@ class TestImpulseResponse:
         np.testing.assert_allclose(h, y, atol=1e-12)
 
     def test_non_convergence_reported(self):
-        tf = TransferFunction([1.0], [1.0, -0.9999])
-        h, ok = impulse_response(tf, max_len=256)
+        h, ok = impulse_response(filt([1.0], [1.0, -0.9999]), max_len=256)
         assert not ok
         assert h.size == 256
 
     def test_unstable_raises(self):
         with pytest.raises(UnstableFilterError):
-            impulse_response(TransferFunction([1.0], [1.0, -1.5]))
+            impulse_response(filt([1.0], [1.0, -1.5]))
 
     def test_zero_filter(self):
-        h, ok = impulse_response(zero_filter())
+        h, ok = impulse_response(([0.0], [1.0]))
         assert ok
         np.testing.assert_array_equal(h, [0.0])
 
 
 class TestParamModule:
     def test_fir_realization(self):
-        tf = realize(ParamModule("fir", (0.5, -0.2, 0.1)))
-        np.testing.assert_allclose(tf.num, [0.5, -0.2, 0.1])
-        np.testing.assert_allclose(tf.den, [1.0, 0.0, 0.0])
+        b, a = realize(ParamModule("fir", (0.5, -0.2, 0.1)))
+        np.testing.assert_array_equal(b, [0.5, -0.2, 0.1])
+        np.testing.assert_array_equal(a, [1.0, 0.0, 0.0])
 
     def test_first_order_realization(self):
-        tf = realize(ParamModule("first_order", (0.3, 1.5)))
-        np.testing.assert_allclose(tf.num, [1.5])
-        np.testing.assert_allclose(tf.den, [1.0, 0.3])
+        # 1.5/(q + 0.3) = 1.5 q^-1 / (1 + 0.3 q^-1)
+        b, a = realize(ParamModule("first_order", (0.3, 1.5)))
+        np.testing.assert_array_equal(b, [0.0, 1.5])
+        np.testing.assert_array_equal(a, [1.0, 0.3])
 
     def test_second_order_realization(self):
-        tf = realize(ParamModule("second_order", (1.0, -0.5, 0.2, 0.08)))
-        np.testing.assert_allclose(tf.num, [1.0, -0.5])
-        np.testing.assert_allclose(tf.den, [1.0, 0.2, 0.08])
+        b, a = realize(ParamModule("second_order", (1.0, -0.5, 0.2, 0.08)))
+        np.testing.assert_array_equal(b, [0.0, 1.0, -0.5])
+        np.testing.assert_array_equal(a, [1.0, 0.2, 0.08])
 
     def test_param_count_validation(self):
         with pytest.raises(ValueError):
@@ -184,6 +194,10 @@ class TestParamModule:
             ParamModule("second_order", (1.0, 2.0))
         with pytest.raises(ValueError):
             ParamModule("fir", ())
+
+    def test_nan_rejected(self):
+        with pytest.raises(StructureError):
+            ParamModule("first_order", (np.nan, 1.0))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -223,8 +237,8 @@ class TestParamJacobian:
     )
     def test_matches_finite_differences(self, module):
         jac = param_jacobian(module)
-        for k, dtf in enumerate(jac):
-            h, ok = impulse_response(dtf, max_len=512)
+        for k, d in enumerate(jac):
+            h, ok = impulse_response(d, max_len=512)
             assert ok
             ref = _fd_jacobian(module, k)
             n = max(h.size, ref.size)
@@ -233,7 +247,7 @@ class TestParamJacobian:
             np.testing.assert_allclose(h, ref, atol=1e-6)
 
     def test_first_order_quotient_rule(self):
-        # d/da [b/(q+a)] = -b/(q+a)^2: numerator -b, denominator (q+a)^2
-        jac = param_jacobian(ParamModule("first_order", (0.4, 1.5)))
-        np.testing.assert_allclose(jac[0].num, [-1.5])
-        np.testing.assert_allclose(jac[0].den, [1.0, 0.8, 0.16])
+        # d/da [b/(q+a)] = -b/(q+a)^2 = -b q^-2 / (1 + a q^-1)^2
+        b, a = param_jacobian(ParamModule("first_order", (0.4, 1.5)))[0]
+        np.testing.assert_array_equal(b, [0.0, 0.0, -1.5])
+        np.testing.assert_allclose(a, [1.0, 0.8, 0.16])

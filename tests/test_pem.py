@@ -69,8 +69,8 @@ class TestSimulate:
         net = three_node_fo()
         emp = Emp(frozenset({1, 3}), frozenset({2, 3}), {1: 1.0, 3: 2.0}, {2: 0.0, 3: 0.0})
         data = simulate(net, emp, 300, seed=1)
-        w2 = lfilter(*realize(net.modules[0]).shift_coefficients(), data.r[1])
-        w3 = lfilter(*realize(net.modules[1]).shift_coefficients(), w2) + data.r[3]
+        w2 = lfilter(*realize(net.modules[0]), data.r[1])
+        w3 = lfilter(*realize(net.modules[1]), w2) + data.r[3]
         np.testing.assert_allclose(data.y[2], w2, atol=1e-12)
         np.testing.assert_allclose(data.y[3], w3, atol=1e-12)
 
@@ -163,10 +163,10 @@ class TestLinearize:
             yhat = np.zeros(data.n_samples)
             psi = np.zeros((data.n_samples, offsets[-1]))
             for i in sorted(r for r in data.r if r <= j):
-                yhat += lfilter(*net.path_gain(i, j).shift_coefficients(), data.r[i])
+                yhat += lfilter(*net.path_gain(i, j), data.r[i])
                 for k, filters in gradient_stack(net, i, j).blocks.items():
-                    for m, tf in enumerate(filters):
-                        psi[:, offsets[k - 1] + m] += lfilter(*tf.shift_coefficients(), data.r[i])
+                    for m, f in enumerate(filters):
+                        psi[:, offsets[k - 1] + m] += lfilter(*f, data.r[i])
             weight = 1.0 / np.sqrt(emp.lam[j])
             ref_res.append((data.y[j] - yhat)[TRANSIENT:] * weight)
             ref_jac.append(-psi[TRANSIENT:] * weight)
