@@ -19,11 +19,9 @@ from .emp import (
     pattern_label,
 )
 from .fisher import (
-    GradientStack,
     InfoResult,
     NonInformativeError,
     criterion,
-    gradient_stack,
     information_batch,
     information_matrix,
 )
@@ -31,11 +29,8 @@ from .lti import (
     ParamModule,
     StructureError,
     UnstableFilterError,
-    impulse_response,
-    is_stable,
     param_jacobian,
     realize,
-    series,
 )
 from .montecarlo import (
     Perturbation,
@@ -50,7 +45,6 @@ from .pem import (
     FitResult,
     empirical_covariance,
     pem_fit,
-    prediction_cost,
     simulate,
 )
 from .ranking import (
@@ -75,7 +69,6 @@ __all__ = [
     "Emp",
     "EmpRanking",
     "FitResult",
-    "GradientStack",
     "InfoResult",
     "MirrorReport",
     "NonInformativeError",
@@ -91,24 +84,19 @@ __all__ = [
     "direct_modules",
     "empirical_covariance",
     "enumerate_minimal",
-    "gradient_stack",
-    "impulse_response",
     "information_batch",
     "information_matrix",
     "is_minimal",
-    "is_stable",
     "mirror",
     "mirror_permutation",
     "module_accuracy_report",
     "param_jacobian",
     "pattern_label",
     "pem_fit",
-    "prediction_cost",
     "rank_emps",
     "ratio_stats",
     "realize",
     "run_scenario",
-    "series",
     "simulate",
     "snr_rule_3node",
     "snr_rule_4node",

@@ -77,6 +77,8 @@ def load_network(path):
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad module list in {path}: {exc}") from exc
+    if not modules:
+        raise ConfigError(f"network file {path} lists no modules; a cascade needs at least one")
     if "n" in spec and spec["n"] != len(modules) + 1:
         raise ConfigError(
             f"network file says n={spec['n']} but lists {len(modules)} modules"
@@ -191,7 +193,7 @@ def cmd_rank(args):
         payload = {
             "pattern": emp.label,
             "criterion": {k: res.criteria[k] for k in ("trace", "logdet")},
-            "block_traces": res.block_traces(),
+            "block_traces": res.traces,
             "direct_modules": sorted(direct_modules(emp)),
             "rcond": res.rcond,
         }
@@ -205,7 +207,7 @@ def cmd_rank(args):
             pattern_label(e.emp.pattern),
             repr(e.value),
             repr(e.info.criteria[other]),
-            ",".join(str(k) for k in sorted(e.directs)),
+            ",".join(str(k) for k in sorted(direct_modules(e.emp))),
         )
         for e in ranking.entries
     ]
@@ -272,6 +274,8 @@ def cmd_montecarlo(args):
         raise ConfigError(f"cannot read scenario config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"scenario config must be a JSON object, got {type(raw).__name__}")
     if args.runs is not None:
         raw["runs"] = args.runs
     if args.seed is not None:
@@ -299,11 +303,14 @@ def cmd_montecarlo(args):
         json.dumps({"manifest": manifest, "report": report.to_dict()}, indent=2, sort_keys=True)
         + "\n"
     )
-    best = report.patterns[report.best_index]
-    print(
-        f"{report.n_informative_runs} informative runs; best {pattern_label(best)} "
-        f"({report.percentages[report.best_index]:.2f}%)"
-    )
+    if report.best_index is None:
+        print(f"0 informative runs; all {report.n_rejected_runs} runs rejected")
+    else:
+        best = report.patterns[report.best_index]
+        print(
+            f"{report.n_informative_runs} informative runs; best {pattern_label(best)} "
+            f"({report.percentages[report.best_index]:.2f}%)"
+        )
     if stats.median_runner_up is not None:
         print(
             f"median ratios: runner-up {stats.median_runner_up:.3f}, "
@@ -389,6 +396,8 @@ def main(argv=None):
         parser.error("-n must be at least 2")
     if getattr(args, "replications", None) is not None and args.replications < 30:
         parser.error("--replications must be at least 30")
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
     if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT:
         parser.error(f"--samples must exceed the transient cut of {TRANSIENT}")
     try:

@@ -94,9 +94,6 @@ class InfoResult:
     def informative(self):
         return self.P is not None
 
-    def block_traces(self):
-        return self.traces
-
 
 def _pair_weights(net, emps):
     """sigma2_i / lambda_j of each pattern (rows) and pair i < j (columns); an

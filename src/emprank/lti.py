@@ -37,7 +37,6 @@ __all__ = [
     "StructureError",
     "UnstableFilterError",
     "impulse_response",
-    "is_stable",
     "module_responses",
     "param_jacobian",
     "pole_radius",
@@ -80,11 +79,6 @@ def pole_radius(filt):
     return float(np.max(np.abs(np.roots(a)))) if np.any(a[1:]) else 0.0
 
 
-def is_stable(filt, margin=STABILITY_MARGIN):
-    """True iff every pole magnitude is strictly below ``margin``."""
-    return pole_radius(filt) < margin
-
-
 def series(f, g):
     """Cascade product f*g by polynomial convolution; no pole-zero cancellation."""
     return _pair(np.convolve(f[0], g[0]), np.convolve(f[1], g[1]))
@@ -122,7 +116,7 @@ def impulse_response(filt, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
         if h.size > max_len:
             return h[:max_len], bool(np.all(np.abs(h[max_len:]) < tail_tol))
         return h[: _kept(h, tail_tol)], True
-    if not is_stable(filt):
+    if not rho < STABILITY_MARGIN:
         raise UnstableFilterError(f"impulse response diverges: largest pole magnitude {rho:.6g}")
     window = max(8, 2 * (len(a) - 1))
     n = int(min(max_len, max(64, len(b) + window + int(np.ceil(np.log(tail_tol) / np.log(rho))))))

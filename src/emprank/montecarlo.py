@@ -17,7 +17,9 @@ import glob
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -130,12 +132,17 @@ class ScenarioConfig:
     criterion: str = "trace"
 
     def __post_init__(self):
+        for name in ("n", "runs", "master_seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 3:
             raise ValueError("selection experiments need at least 3 nodes")
         if self.family not in MODULE_FAMILIES:
             raise ValueError(f"family must be one of {MODULE_FAMILIES}, got {self.family!r}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.variance_mode not in ("equal", "random"):
             raise ValueError(f"variance_mode must be 'equal' or 'random', got {self.variance_mode!r}")
         if self.criterion not in ("trace", "logdet"):
@@ -146,28 +153,26 @@ class ScenarioConfig:
                 raise ValueError(f"perturbation module {p.module} outside 1..{self.n - 1}")
             if p.param < 0:
                 raise ValueError("perturbation parameter index must be >= 0")
+            # fir_butterworth tap counts vary per draw; _draw_modules checks those
+            n_params = {FIRST_ORDER: 2, SECOND_ORDER: 4}.get(self.family)
+            if n_params is not None and p.param >= n_params:
+                raise ValueError(
+                    f"perturbation parameter {p.param} outside {self.family} modules "
+                    f"with {n_params} parameters"
+                )
 
     def to_dict(self):
-        d = {
-            "n": self.n,
-            "family": self.family,
-            "runs": self.runs,
-            "variance_mode": self.variance_mode,
-            "identical": self.identical,
-            "master_seed": self.master_seed,
-            "criterion": self.criterion,
-        }
-        if self.perturbation is not None:
-            d["perturbation"] = {
-                "module": self.perturbation.module,
-                "param": self.perturbation.param,
-                "factor": self.perturbation.factor,
-            }
+        d = asdict(self)
+        if self.perturbation is None:
+            del d["perturbation"]
         return d
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         pert = d.pop("perturbation", None)
         if pert is not None:
             pert = Perturbation(
@@ -175,10 +180,6 @@ class ScenarioConfig:
                 param=int(pert.get("param", 0)),
                 factor=float(pert.get("factor", 10.0)),
             )
-        known = {"n", "family", "runs", "variance_mode", "identical", "master_seed", "criterion"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(perturbation=pert, **d)
 
 
@@ -273,7 +274,8 @@ class ScenarioReport:
 
     @property
     def best_index(self):
-        return int(np.argmax(self.counts))
+        """Index of the most frequent winner; None when no run was informative."""
+        return int(np.argmax(self.counts)) if self.n_informative_runs else None
 
     def to_dict(self):
         stats = ratio_stats(self)
@@ -290,27 +292,22 @@ class ScenarioReport:
         }
 
 
-def run_scenario(cfg, workers=1, log_every=None):
+def run_scenario(cfg, workers=1):
     """Execute every run of a scenario and aggregate selection frequencies.
 
-    ``workers`` > 1 fans runs out over processes; results are identical to a
-    serial execution because every run owns its seed stream.
+    The runs are split into chunks, run in this process for one worker and
+    fanned out over ``workers`` processes otherwise; results are the same
+    either way because every run owns its seed stream.
     """
     patterns = enumerate_minimal(cfg.n)
+    indices = np.array_split(np.arange(cfg.runs), workers * 8)
+    chunks = [(cfg, idx.tolist()) for idx in indices if idx.size]
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) if workers > 1 else None
     outcomes = []
-    if workers and workers > 1:
-        indices = np.array_split(np.arange(cfg.runs), workers * 8)
-        chunks = [(cfg, idx.tolist()) for idx in indices if idx.size]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            for done, part in enumerate(pool.map(_run_chunk, chunks), start=1):
-                outcomes.extend(part)
-                log.info("scenario progress: %d/%d chunks", done, len(chunks))
-    else:
-        step = log_every or max(1, cfg.runs // 10)
-        for r in range(cfg.runs):
-            outcomes.append(_run_one(cfg, r))
-            if (r + 1) % step == 0:
-                log.info("scenario progress: %d/%d runs", r + 1, cfg.runs)
+    with pool or nullcontext():
+        for done, part in enumerate((pool.map if pool else map)(_run_chunk, chunks), start=1):
+            outcomes.extend(part)
+            log.info("scenario progress: %d/%d chunks", done, len(chunks))
     counts = np.zeros(len(patterns), dtype=int)
     runner, worst = [], []
     rejected = 0

@@ -34,12 +34,14 @@ __all__ = [
     "FitResult",
     "empirical_covariance",
     "pem_fit",
-    "prediction_cost",
     "simulate",
 ]
 
-TRANSIENT = 50
+TRANSIENT = 50  # samples skipped at the start of every record
 MIN_REPLICATIONS = 30
+MAX_ITER = 50
+COST_TOL = 1e-12
+GRAD_TOL = 1e-9
 
 
 def lfilter(b, a, x):
@@ -52,13 +54,11 @@ def lfilter(b, a, x):
 @dataclass
 class Dataset:
     """One simulated record: excitations r per excited node, outputs y per
-    measured node, plus the generating truth."""
+    measured node, plus the generating pattern."""
 
     r: dict
     y: dict
-    truth_net: CascadeNetwork
     truth_emp: Emp
-    seed: object = None
 
     @property
     def n_samples(self):
@@ -106,7 +106,7 @@ def simulate(net, emp, n_samples, seed=None):
     }
     w, _ = _forward(net.modules, r, n_samples)
     y = {j: w[j] + e[j] for j in sorted(emp.measured)}
-    return Dataset(r=r, y=y, truth_net=net, truth_emp=emp, seed=seed)
+    return Dataset(r=r, y=y, truth_emp=emp)
 
 
 def _flatten(modules):
@@ -140,32 +140,22 @@ def _residual_weights(data):
     }
 
 
-def _residuals(data, w, transient):
+def _residuals(data, w):
     """Weighted residuals y_j - w_j of the measured nodes, past the transient."""
     return np.concatenate(
-        [(data.y[j] - w[j])[transient:] * c for j, c in _residual_weights(data).items()]
+        [(data.y[j] - w[j])[TRANSIENT:] * c for j, c in _residual_weights(data).items()]
     )
 
 
-def prediction_cost(data, modules, transient=TRANSIENT):
-    """Weighted prediction-error cost sum_j sum_t (y_j - yhat_j)^2 / lambda_j,
-    skipping the first ``transient`` samples."""
-    if _try_network(modules) is None:
-        return np.inf
-    res = _residuals(data, _forward(modules, data.r, data.n_samples)[0], transient)
-    return float(res @ res)
-
-
-def _linearize(data, net, transient):
+def _linearize(data, net):
     """Stacked weighted residuals and their Jacobian w.r.t. all parameters."""
     w, s = _forward(net.modules, data.r, data.n_samples, sensitivities=True)
-    jac = np.vstack([-s[j, :, transient:].T * c for j, c in _residual_weights(data).items()])
-    return _residuals(data, w, transient), jac
+    jac = np.vstack([-s[j, :, TRANSIENT:].T * c for j, c in _residual_weights(data).items()])
+    return _residuals(data, w), jac
 
 
 @dataclass
 class FitResult:
-    modules: list
     theta: np.ndarray
     cost: float
     converged: bool
@@ -173,42 +163,27 @@ class FitResult:
     status: str
 
 
-def pem_fit(
-    data,
-    structure,
-    theta_init=None,
-    max_iter=50,
-    cost_tol=1e-12,
-    grad_tol=1e-9,
-    transient=TRANSIENT,
-):
+def pem_fit(data, structure):
     """Damped Gauss-Newton prediction-error fit of the cascade modules.
 
-    ``structure`` fixes the family and parameter count of each module;
-    ``theta_init`` (list of per-module vectors, default: the structure's own
-    parameters) is the starting point.  Steps are halved until the cost
+    ``structure`` fixes the family and parameter count of each module, and
+    its parameters are the starting point.  Steps are halved until the cost
     decreases, so the cost never increases along the iteration; candidates
     realizing an unstable module are rejected the same way.  Non-convergence
-    within ``max_iter`` is reported, not raised.
+    within ``MAX_ITER`` steps is reported, not raised.
     """
     structure = list(structure)
-    if theta_init is None:
-        flat = _flatten(structure)
-    else:
-        flat = np.concatenate([np.atleast_1d(np.asarray(t, float)) for t in theta_init])
-        if flat.size != sum(m.n_params for m in structure):
-            raise ValueError("theta_init does not match the structure's parameter count")
-    modules = _rebuild(structure, flat)
-    net = _try_network(modules)
+    flat = _flatten(structure)
+    net = _try_network(structure)
     if net is None:
         raise ValueError("initial parameters realize an unstable module")
-    res, jac = _linearize(data, net, transient)
+    res, jac = _linearize(data, net)
     cost = float(res @ res)
     status = "max_iter"
     n_accepted = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad = 2.0 * (jac.T @ res)
-        if np.max(np.abs(grad)) <= grad_tol * max(1.0, cost):
+        if np.max(np.abs(grad)) <= GRAD_TOL * max(1.0, cost):
             status = "gradient"
             break
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -216,13 +191,12 @@ def pem_fit(
         accepted = False
         while alpha >= 2.0 ** -30:
             trial_flat = flat + alpha * step
-            trial_modules = _rebuild(structure, trial_flat)
-            trial_net = _try_network(trial_modules)
+            trial_net = _try_network(_rebuild(structure, trial_flat))
             if trial_net is not None:
-                trial_res, trial_jac = _linearize(data, trial_net, transient)
+                trial_res, trial_jac = _linearize(data, trial_net)
                 trial_cost = float(trial_res @ trial_res)
                 if trial_cost < cost:
-                    flat, modules, net = trial_flat, trial_modules, trial_net
+                    flat = trial_flat
                     res, jac = trial_res, trial_jac
                     improvement = cost - trial_cost
                     cost = trial_cost
@@ -233,14 +207,13 @@ def pem_fit(
         if not accepted:
             status = "stalled"
             break
-        if improvement <= cost_tol * max(cost, 1.0):
+        if improvement <= COST_TOL * max(cost, 1.0):
             status = "cost"
             break
     converged = status in ("gradient", "cost") or (
         status == "stalled" and np.max(np.abs(2.0 * (jac.T @ res))) <= 1e-6 * max(1.0, cost)
     )
     return FitResult(
-        modules=modules,
         theta=flat,
         cost=cost,
         converged=converged,
@@ -254,13 +227,12 @@ class CovarianceCheck:
     theoretical_trace: float
     empirical_trace: float
     rel_deviation: float
-    replications: int
     n_failed: int
     reliable: bool
     scale_samples: int
 
 
-def empirical_covariance(net, emp, n_samples, replications, seed=0, transient=TRANSIENT, max_iter=50):
+def empirical_covariance(net, emp, n_samples, replications, seed=0):
     """Monte Carlo check of the theoretical covariance.
 
     Runs ``replications`` independent simulate/fit cycles initialized at the
@@ -272,12 +244,12 @@ def empirical_covariance(net, emp, n_samples, replications, seed=0, transient=TR
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
     theory = criterion(information_matrix(net, emp), "trace")
     truth = _flatten(net.modules)
-    n_eff = n_samples - transient
+    n_eff = n_samples - TRANSIENT
     deviations = []
     failed = 0
     for rep in range(replications):
         data = simulate(net, emp, n_samples, seed=[seed, rep])
-        fit = pem_fit(data, net.modules, transient=transient, max_iter=max_iter)
+        fit = pem_fit(data, net.modules)
         if not fit.converged:
             failed += 1
             continue
@@ -293,7 +265,6 @@ def empirical_covariance(net, emp, n_samples, replications, seed=0, transient=TR
         theoretical_trace=float(theory),
         empirical_trace=empirical,
         rel_deviation=abs(empirical - theory) / theory if np.isfinite(empirical) else float("inf"),
-        replications=replications,
         n_failed=failed,
         reliable=bool(failed <= 0.05 * replications and np.isfinite(empirical)),
         scale_samples=n_eff,

@@ -79,8 +79,6 @@ class RankEntry:
     emp: Emp
     canonical_index: int
     value: float
-    block_traces: list
-    directs: set
     info: object
 
 
@@ -126,8 +124,6 @@ def rank_emps(net, profile, kind="trace"):
                 emp=emp,
                 canonical_index=idx,
                 value=criterion(res, kind),
-                block_traces=res.traces,
-                directs=direct_modules(emp),
                 info=res,
             )
         )
@@ -310,7 +306,7 @@ def module_accuracy_report(net, emp):
     hypotheses = net.identical_modules and uniform
     if not res.informative:
         return ModuleAccuracyReport(emp, [], False, hypotheses, None)
-    traces = res.block_traces()
+    traces = res.traces
     rows = [(k, traces[k - 1], k in directs) for k in range(1, net.n)]
     verdict = None
     if hypotheses and directs and len(directs) < net.n - 1:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emprank import CascadeNetwork, ParamModule, impulse_response
+from emprank import CascadeNetwork, ParamModule
+from emprank.lti import impulse_response
 
 
 def filt(num, den):

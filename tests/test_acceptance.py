@@ -29,7 +29,6 @@ from emprank import (
     criterion,
     empirical_covariance,
     enumerate_minimal,
-    gradient_stack,
     information_matrix,
     is_minimal,
     param_jacobian,
@@ -38,6 +37,7 @@ from emprank import (
     run_scenario,
     verify_mirror,
 )
+from emprank.fisher import gradient_stack
 from conftest import identical_network, random_first_order, white_correlation
 
 MASTER_SEED = 20260815

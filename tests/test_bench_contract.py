@@ -24,13 +24,13 @@ from emprank import (
     Emp,
     ParamModule,
     ScenarioConfig,
-    impulse_response,
     information_matrix,
     pem_fit,
     realize,
     run_scenario,
     simulate,
 )
+from emprank.lti import impulse_response
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"

@@ -7,10 +7,9 @@ from emprank import (
     CascadeNetwork,
     ParamModule,
     UnstableFilterError,
-    impulse_response,
     realize,
-    series,
 )
+from emprank.lti import impulse_response, series
 from conftest import random_network
 
 

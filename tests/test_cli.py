@@ -210,6 +210,14 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_every_run_rejected(self, tmp_path, capsys):
+        # a x 10 puts the pole of module 1 outside the unit circle in every draw
+        cfg = self.scenario(tmp_path, runs=4, perturbation={"module": 1, "factor": 10})
+        assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "0 informative runs; all 4 runs rejected" in out
+        assert "best" not in out
+
 
 class TestValidate:
     def test_reliable_check(self, capsys, fir2):
@@ -358,6 +366,48 @@ class TestErrorPaths:
         )
         assert main(["rank", "--network", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rank", "validate"])
+    def test_empty_module_list(self, tmp_path, capsys, command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"modules": []}))
+        argv = [command, "--network", str(path)] + (["--emp", "B=1;C=2"] if command == "validate" else [])
+        assert main(argv) == 2
+        assert "configuration error: network file" in capsys.readouterr().err
+
+    def scenario_error(self, tmp_path, capsys, config):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path)]) == 2
+        return capsys.readouterr().err
+
+    def test_scenario_not_an_object(self, tmp_path, capsys):
+        err = self.scenario_error(tmp_path, capsys, [1, 2])
+        assert "configuration error: scenario config must be a JSON object" in err
+
+    def test_non_integer_node_count(self, tmp_path, capsys):
+        err = self.scenario_error(tmp_path, capsys, {"n": 3.5, "family": "first_order", "runs": 2})
+        assert "configuration error: bad scenario config: n must be an integer" in err
+
+    def test_negative_master_seed(self, tmp_path, capsys):
+        cfg = {"n": 3, "family": "first_order", "runs": 2, "master_seed": -1}
+        err = self.scenario_error(tmp_path, capsys, cfg)
+        assert "configuration error: bad scenario config: master_seed must be >= 0" in err
+
+    @pytest.mark.parametrize("family", ["first_order", "second_order"])
+    def test_perturbation_param_beyond_module(self, tmp_path, capsys, family):
+        cfg = {"n": 3, "family": family, "runs": 2, "perturbation": {"module": 1, "param": 7}}
+        err = self.scenario_error(tmp_path, capsys, cfg)
+        assert f"configuration error: bad scenario config: perturbation parameter 7 outside {family}" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_floor(self, tmp_path, capsys, threads):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n": 3, "family": "first_order", "runs": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["montecarlo", "--config", str(path), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
     def test_enumerate_too_few_nodes(self, capsys):
         with pytest.raises(SystemExit) as exc:

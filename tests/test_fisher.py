@@ -15,9 +15,9 @@ from emprank import (
     NonInformativeError,
     ParamModule,
     criterion,
-    gradient_stack,
     information_matrix,
 )
+from emprank.fisher import gradient_stack
 from conftest import filt, identical_network, random_network, white_correlation
 
 UNIT = filt([1.0], [1.0])
@@ -133,7 +133,7 @@ class TestInformationMatrix:
     def test_block_traces_sum_to_trace(self, rng):
         net = random_network(rng, 4)
         res = information_matrix(net, emp_of((frozenset({1, 2}), frozenset({3, 4}))))
-        assert sum(res.block_traces()) == pytest.approx(res.criteria["trace"], rel=1e-12)
+        assert sum(res.traces) == pytest.approx(res.criteria["trace"], rel=1e-12)
 
     def test_param_slices_partition(self, rng):
         net = random_network(rng, 5, family="second_order")

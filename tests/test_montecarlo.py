@@ -16,14 +16,13 @@ from emprank import (
     ScenarioConfig,
     enumerate_minimal,
     information_matrix,
-    is_stable,
     pattern_label,
     ratio_stats,
     realize,
     run_scenario,
 )
 from emprank import montecarlo
-from emprank.lti import pole_radius
+from emprank.lti import STABILITY_MARGIN, pole_radius
 from emprank.montecarlo import (
     FIR_BUTTERWORTH,
     sample_fir_butterworth,
@@ -61,7 +60,7 @@ class TestButterworthSampler:
     def test_random_draws_stable_with_leading_weight(self, rng):
         for _ in range(50):
             m = sample_fir_butterworth(rng)
-            assert is_stable(realize(m))
+            assert pole_radius(realize(m)) < STABILITY_MARGIN
             assert len(m.theta) >= 3
             assert abs(m.theta[0]) > 1e-2
 
@@ -84,7 +83,7 @@ class TestParametricSamplers:
             assert -3.0 <= -t[1] <= 3.0
             assert 0.0 <= t[3] < 1.0
             assert -2.0 < t[2] <= 0.0
-            assert is_stable(realize(m))
+            assert pole_radius(realize(m)) < STABILITY_MARGIN
 
 
 class TestScenarioConfig:
@@ -106,6 +105,11 @@ class TestScenarioConfig:
             self.good(criterion="a")
         with pytest.raises(ValueError, match="module"):
             self.good(perturbation=Perturbation(module=4))
+        for name, value in (("n", 3.5), ("runs", 2.0), ("master_seed", "1")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                self.good(**{name: value})
+        with pytest.raises(ValueError, match="master_seed"):
+            self.good(master_seed=-1)
 
     def test_round_trip(self):
         cfg = self.good(
@@ -149,11 +153,16 @@ class TestModuleDraws:
         assert mods[1].theta[1] == pytest.approx(10.0 * mods[0].theta[1])
 
     def test_perturbation_param_out_of_range(self):
+        # fixed parameter counts are checked with the config, FIR tap counts per draw
+        with pytest.raises(ValueError, match="parameter 5 outside first_order"):
+            ScenarioConfig(n=3, family="first_order", runs=2, perturbation=Perturbation(module=1, param=5))
+        with pytest.raises(ValueError, match="parameter 4 outside second_order"):
+            ScenarioConfig(n=3, family="second_order", runs=2, perturbation=Perturbation(module=2, param=4))
         cfg = ScenarioConfig(
             n=3,
-            family="first_order",
+            family=FIR_BUTTERWORTH,
             runs=2,
-            perturbation=Perturbation(module=1, param=5),
+            perturbation=Perturbation(module=1, param=40),
         )
         with pytest.raises(ValueError, match="parameter"):
             run_scenario(cfg)
@@ -181,16 +190,20 @@ class TestRunScenario:
         stats = ratio_stats(report)
         assert stats.median_worst >= stats.median_runner_up >= 1.0
 
-    def test_deterministic_and_worker_invariant(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_deterministic_and_worker_invariant(self, workers):
+        """Fewer runs than chunks: the report equals one built run by run."""
         cfg = ScenarioConfig(
-            n=4, family="first_order", runs=24, variance_mode="random", master_seed=9
+            n=4, family="first_order", runs=5, variance_mode="random", master_seed=9
         )
-        a = run_scenario(cfg)
-        b = run_scenario(cfg)
-        c = run_scenario(cfg, workers=2)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.counts, c.counts)
-        np.testing.assert_array_equal(a.runner_up_ratios, c.runner_up_ratios)
+        outcomes = [montecarlo._run_one(cfg, r) for r in range(cfg.runs)]
+        kept = [o for o in outcomes if not o.rejected]
+        counts = np.bincount([o.winner for o in kept], minlength=len(enumerate_minimal(cfg.n)))
+        report = run_scenario(cfg, workers=workers)
+        np.testing.assert_array_equal(report.counts, counts)
+        np.testing.assert_array_equal(report.runner_up_ratios, [o.runner_up_ratio for o in kept])
+        np.testing.assert_array_equal(report.worst_ratios, [o.worst_ratio for o in kept])
+        assert report.n_rejected_runs == len(outcomes) - len(kept)
 
     def test_master_seed_changes_draws(self):
         mk = lambda seed: ScenarioConfig(
@@ -211,6 +224,7 @@ class TestRunScenario:
         assert report.n_rejected_runs == 6
         assert report.n_informative_runs == 0
         assert report.counts.sum() == 0
+        assert report.best_index is None
         assert ratio_stats(report) == ratio_stats(report)
         assert ratio_stats(report).median_runner_up is None
 

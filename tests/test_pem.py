@@ -9,21 +9,29 @@ from emprank import (
     Emp,
     ParamModule,
     empirical_covariance,
-    gradient_stack,
     pem_fit,
-    prediction_cost,
     realize,
     simulate,
 )
-from emprank.pem import TRANSIENT, _linearize, _try_network
+from emprank.fisher import gradient_stack
+from emprank.pem import TRANSIENT, _forward, _linearize, _residuals, _try_network
 
 
-def prediction_cost_gradient(data, modules, transient=TRANSIENT):
+def prediction_cost(data, modules):
+    """Weighted prediction-error cost sum_j sum_t (y_j - yhat_j)^2 / lambda_j
+    past the transient; infinite for an unstable candidate."""
+    if _try_network(modules) is None:
+        return np.inf
+    res = _residuals(data, _forward(modules, data.r, data.n_samples)[0])
+    return float(res @ res)
+
+
+def prediction_cost_gradient(data, modules):
     """Gradient of prediction_cost from the fit's analytic Jacobian."""
     net = _try_network(modules)
     if net is None:
         raise ValueError("gradient undefined for an unstable candidate")
-    res, jac = _linearize(data, net, transient)
+    res, jac = _linearize(data, net)
     return 2.0 * (jac.T @ res)
 
 
@@ -107,8 +115,8 @@ class TestPredictionCost:
         emp = Emp.uniform({1}, {2}, 1.0, 0.3)
         n = 50_000
         data = simulate(net, emp, n, seed=4)
-        cost = prediction_cost(data, net.modules, transient=50)
-        assert cost / (n - 50) == pytest.approx(1.0, rel=0.03)
+        cost = prediction_cost(data, net.modules)
+        assert cost / (n - TRANSIENT) == pytest.approx(1.0, rel=0.03)
 
     def test_unstable_candidate_is_infinite(self):
         net = two_node_fir()
@@ -156,7 +164,7 @@ class TestLinearize:
         build, emp = LINEARIZE_CASES[case]
         net = build()
         data = simulate(net, emp, 600, seed=13)
-        res, jac = _linearize(data, net, TRANSIENT)
+        res, jac = _linearize(data, net)
         offsets = np.cumsum([0] + [m.n_params for m in net.modules])
         ref_res, ref_jac = [], []
         for j in sorted(data.y):
@@ -181,14 +189,14 @@ class TestPemFit:
         net = two_node_fir()
         emp = Emp(frozenset({1}), frozenset({2}), {1: 1.0}, {2: 0.0})
         data = simulate(net, emp, 600, seed=8)
-        fit = pem_fit(data, net.modules, theta_init=[(0.5, 0.0, 0.0)])
+        fit = pem_fit(data, [ParamModule("fir", (0.5, 0.0, 0.0))])
         assert fit.converged
         np.testing.assert_allclose(fit.theta, (0.8, -0.25, 0.1), atol=1e-8)
 
     def test_fir_linear_problem_takes_one_step(self):
         net = two_node_fir()
         data = simulate(net, Emp.uniform({1}, {2}, 1.0, 0.05), 1000, seed=9)
-        fit = pem_fit(data, net.modules, theta_init=[(0.7, -0.2, 0.05)])
+        fit = pem_fit(data, [ParamModule("fir", (0.7, -0.2, 0.05))])
         assert fit.status == "gradient"
         assert fit.n_iter == 1
 
@@ -196,22 +204,16 @@ class TestPemFit:
         net = three_node_fo()
         emp = Emp(frozenset({1, 2}), frozenset({3}), {1: 1.0, 2: 1.0}, {3: 0.0})
         data = simulate(net, emp, 800, seed=10)
-        init = [(-0.3, 1.0), (0.2, 0.9)]
-        fit = pem_fit(data, net.modules, theta_init=init)
+        init = [ParamModule("first_order", (-0.3, 1.0)), ParamModule("first_order", (0.2, 0.9))]
+        fit = pem_fit(data, init)
         assert fit.converged
         np.testing.assert_allclose(fit.theta, (-0.4, 1.2, 0.3, 0.7), atol=1e-6)
-
-    def test_init_size_mismatch(self):
-        net = two_node_fir()
-        data = simulate(net, Emp.uniform({1}, {2}, 1.0, 0.1), 200, seed=11)
-        with pytest.raises(ValueError, match="parameter count"):
-            pem_fit(data, net.modules, theta_init=[(0.5, 0.1)])
 
     def test_unstable_init_rejected(self):
         net = three_node_fo()
         data = simulate(net, Emp.uniform({1}, {2, 3}, 1.0, 0.1), 200, seed=12)
         with pytest.raises(ValueError, match="unstable"):
-            pem_fit(data, net.modules, theta_init=[(1.4, 1.0), (0.3, 0.7)])
+            pem_fit(data, [ParamModule("first_order", (1.4, 1.0)), ParamModule("first_order", (0.3, 0.7))])
 
 
 class TestEmpiricalCovariance:

@@ -146,7 +146,7 @@ class TestBatchedEvaluation:
         for e in ranking.entries:
             assert e.value == pytest.approx(trace[e.canonical_index], rel=1e-12)
             np.testing.assert_allclose(
-                e.block_traces, single[e.canonical_index].block_traces(), rtol=1e-12
+                e.info.traces, single[e.canonical_index].traces, rtol=1e-12
             )
 
 
