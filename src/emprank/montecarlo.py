@@ -16,10 +16,12 @@ import ctypes
 import glob
 import logging
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -119,6 +121,14 @@ class Perturbation:
     param: int = 0
     factor: float = 10.0
 
+    def __post_init__(self):
+        for name in ("module", "param"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"perturbation {name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.factor, Real):
+            raise ValueError(f"perturbation factor must be a number, got {self.factor!r}")
+        object.__setattr__(self, "factor", float(self.factor))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -175,11 +185,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         pert = d.pop("perturbation", None)
         if pert is not None:
-            pert = Perturbation(
-                module=int(pert["module"]),
-                param=int(pert.get("param", 0)),
-                factor=float(pert.get("factor", 10.0)),
-            )
+            pert = Perturbation(**pert)
         return cls(perturbation=pert, **d)
 
 
@@ -292,22 +298,58 @@ class ScenarioReport:
         }
 
 
+_pool = None  # (workers, executor): the process's worker pool, see _worker_pool
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers):
+    """The pool of ``workers`` processes shared by every ``run_scenario``
+    call in this process: started on first use, replaced when the worker
+    count changes or a worker has died."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (_pool[0] != workers or _pool[1]._broken):
+            _pool[1].shutdown(wait=True)
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread))
+        return _pool[1]
+
+
+def _drop_pool(pool):
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[1] is pool:
+            _pool = None
+    pool.shutdown(wait=True)
+
+
 def run_scenario(cfg, workers=1):
     """Execute every run of a scenario and aggregate selection frequencies.
 
     The runs are split into chunks, run in this process for one worker and
     fanned out over ``workers`` processes otherwise; results are the same
-    either way because every run owns its seed stream.
+    either way because every run owns its seed stream.  The worker
+    processes persist between calls with the same worker count and run the
+    package state as of the pool's creation: changes made in this process
+    afterwards (a patched sampler, say) do not reach them.
     """
     patterns = enumerate_minimal(cfg.n)
     indices = np.array_split(np.arange(cfg.runs), workers * 8)
     chunks = [(cfg, idx.tolist()) for idx in indices if idx.size]
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) if workers > 1 else None
+    pool = _worker_pool(workers) if workers > 1 else None
     outcomes = []
-    with pool or nullcontext():
+    t0 = time.perf_counter()
+    try:
         for done, part in enumerate((pool.map if pool else map)(_run_chunk, chunks), start=1):
             outcomes.extend(part)
-            log.info("scenario progress: %d/%d chunks", done, len(chunks))
+            log.info(
+                "scenario progress: %d/%d chunks, %d/%d runs, %.1f runs/s",
+                done, len(chunks), len(outcomes), cfg.runs, len(outcomes) / (time.perf_counter() - t0),
+            )
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
     counts = np.zeros(len(patterns), dtype=int)
     runner, worst = [], []
     rejected = 0

@@ -400,6 +400,20 @@ class TestErrorPaths:
         err = self.scenario_error(tmp_path, capsys, cfg)
         assert f"configuration error: bad scenario config: perturbation parameter 7 outside {family}" in err
 
+    @pytest.mark.parametrize(
+        "perturbation, message",
+        [
+            ({"module": 1.9, "param": 1.7}, "perturbation module must be an integer, got 1.9"),
+            ({"module": 1, "param": 1.7}, "perturbation param must be an integer, got 1.7"),
+            ({"module": 1, "factor": "ten"}, "perturbation factor must be a number, got 'ten'"),
+        ],
+        ids=["module", "param", "factor"],
+    )
+    def test_malformed_perturbation(self, tmp_path, capsys, perturbation, message):
+        cfg = {"n": 3, "family": "first_order", "runs": 2, "perturbation": perturbation}
+        err = self.scenario_error(tmp_path, capsys, cfg)
+        assert f"configuration error: bad scenario config: {message}" in err
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_floor(self, tmp_path, capsys, threads):
         path = tmp_path / "scenario.json"

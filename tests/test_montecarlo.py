@@ -2,8 +2,11 @@
 
 import glob
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -110,6 +113,15 @@ class TestScenarioConfig:
                 self.good(**{name: value})
         with pytest.raises(ValueError, match="master_seed"):
             self.good(master_seed=-1)
+        base = self.good().to_dict()
+        for pert, message in (
+            ({"module": 1.9, "param": 1.7}, "perturbation module must be an integer, got 1.9"),
+            ({"module": 1, "param": 1.7}, "perturbation param must be an integer, got 1.7"),
+            ({"module": "1"}, "perturbation module must be an integer, got '1'"),
+            ({"module": 1, "factor": "10"}, "perturbation factor must be a number, got '10'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig.from_dict(dict(base, perturbation=pert))
 
     def test_round_trip(self):
         cfg = self.good(
@@ -192,18 +204,20 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_deterministic_and_worker_invariant(self, workers):
-        """Fewer runs than chunks: the report equals one built run by run."""
+        """Fewer runs than chunks: the report equals one built run by run,
+        also on a second call served by warm workers and caches."""
         cfg = ScenarioConfig(
             n=4, family="first_order", runs=5, variance_mode="random", master_seed=9
         )
         outcomes = [montecarlo._run_one(cfg, r) for r in range(cfg.runs)]
         kept = [o for o in outcomes if not o.rejected]
         counts = np.bincount([o.winner for o in kept], minlength=len(enumerate_minimal(cfg.n)))
-        report = run_scenario(cfg, workers=workers)
-        np.testing.assert_array_equal(report.counts, counts)
-        np.testing.assert_array_equal(report.runner_up_ratios, [o.runner_up_ratio for o in kept])
-        np.testing.assert_array_equal(report.worst_ratios, [o.worst_ratio for o in kept])
-        assert report.n_rejected_runs == len(outcomes) - len(kept)
+        for _ in range(2):
+            report = run_scenario(cfg, workers=workers)
+            np.testing.assert_array_equal(report.counts, counts)
+            np.testing.assert_array_equal(report.runner_up_ratios, [o.runner_up_ratio for o in kept])
+            np.testing.assert_array_equal(report.worst_ratios, [o.worst_ratio for o in kept])
+            assert report.n_rejected_runs == len(outcomes) - len(kept)
 
     def test_master_seed_changes_draws(self):
         mk = lambda seed: ScenarioConfig(
@@ -268,6 +282,83 @@ def test_worker_blas_runs_one_thread():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def worker_processes():
+    """The live worker processes of this process's pool, by pid."""
+    return dict(montecarlo._pool[1]._processes)
+
+
+def assert_same_report(report, expected):
+    np.testing.assert_array_equal(report.counts, expected.counts)
+    np.testing.assert_array_equal(report.runner_up_ratios, expected.runner_up_ratios)
+    np.testing.assert_array_equal(report.worst_ratios, expected.worst_ratios)
+    assert report.n_rejected_runs == expected.n_rejected_runs
+    assert report.n_noninformative_emps == expected.n_noninformative_emps
+
+
+class TestWorkerPool:
+    """Worker processes start once per process and worker count."""
+
+    CFG = ScenarioConfig(n=4, family="first_order", runs=12, variance_mode="random", master_seed=3)
+
+    def test_calls_share_workers(self):
+        run_scenario(self.CFG, workers=2)
+        first = worker_processes()
+        run_scenario(self.CFG, workers=2)
+        assert worker_processes() == first
+        assert len(first) == 2
+        assert all(p.is_alive() for p in first.values())
+
+    def test_new_worker_count_replaces_pool(self):
+        run_scenario(self.CFG, workers=2)
+        old = worker_processes()
+        run_scenario(self.CFG, workers=3)
+        new = worker_processes()
+        assert len(new) == 3
+        assert not set(old) & set(new)
+        assert all(p.exitcode is not None for p in old.values())
+
+    def test_killed_worker_replaced(self):
+        expected = run_scenario(self.CFG, workers=1)
+        run_scenario(self.CFG, workers=2)
+        victim = next(iter(worker_processes().values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        try:
+            assert_same_report(run_scenario(self.CFG, workers=2), expected)
+        except BrokenProcessPool:
+            pass
+        assert_same_report(run_scenario(self.CFG, workers=2), expected)
+        assert victim.pid not in worker_processes()
+        # the broken pool's shutdown has reaped the victim
+        assert victim.exitcode == -signal.SIGKILL
+
+    def test_workers_exit_with_interpreter(self):
+        probe = (
+            "from emprank import ScenarioConfig, run_scenario, montecarlo; "
+            "run_scenario(ScenarioConfig(n=3, family='first_order', runs=4), workers=2); "
+            "print(*montecarlo._pool[1]._processes)"
+        )
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 5
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, pids))
 
 
 class TestButterworthScenario:
