@@ -14,7 +14,6 @@ from .emp import (
     Emp,
     direct_modules,
     enumerate_minimal,
-    is_minimal,
     mirror,
     pattern_label,
 )
@@ -22,7 +21,6 @@ from .fisher import (
     InfoResult,
     NonInformativeError,
     criterion,
-    information_batch,
     information_matrix,
 )
 from .lti import (
@@ -84,9 +82,7 @@ __all__ = [
     "direct_modules",
     "empirical_covariance",
     "enumerate_minimal",
-    "information_batch",
     "information_matrix",
-    "is_minimal",
     "mirror",
     "mirror_permutation",
     "module_accuracy_report",

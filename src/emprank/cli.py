@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -88,8 +89,8 @@ def load_network(path):
         sigma2, lam = (float(defaults.get(key, 1.0)) for key in ("sigma2", "lambda"))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad defaults in {path}: {exc}") from exc
-    if not (sigma2 > 0 and lam > 0):
-        raise ConfigError(f"defaults in {path}: sigma2 and lambda must be positive, got {sigma2}, {lam}")
+    if not (0 < sigma2 < math.inf and 0 < lam < math.inf):
+        raise ConfigError(f"defaults in {path}: sigma2 and lambda must be positive and finite, got {sigma2}, {lam}")
     return modules, VarianceProfile(sigma2, lam)
 
 
@@ -164,20 +165,16 @@ def _emit_rows(header, rows, fmt, stream):
 
 
 def cmd_enumerate(args):
-    patterns = enumerate_minimal(args.n)
     profile = VarianceProfile()
-    rows = []
-    for idx, pattern in enumerate(patterns):
-        emp = profile.emp_for(pattern)
-        memp = mirror(emp, args.n)
-        rows.append(
-            (
-                idx,
-                pattern_label(pattern),
-                ",".join(str(k) for k in sorted(direct_modules(emp))),
-                pattern_label(memp.pattern),
-            )
+    rows = [
+        (
+            idx,
+            pattern_label(pattern),
+            ",".join(str(k) for k in sorted(direct_modules(pattern))),
+            pattern_label(mirror(profile.emp_for(pattern), args.n).pattern),
         )
+        for idx, pattern in enumerate(enumerate_minimal(args.n))
+    ]
     _emit_rows(["index", "pattern", "direct_modules", "mirror"], rows, args.format, sys.stdout)
     return 0
 
@@ -194,7 +191,7 @@ def cmd_rank(args):
             "pattern": emp.label,
             "criterion": {k: res.criteria[k] for k in ("trace", "logdet")},
             "block_traces": res.traces,
-            "direct_modules": sorted(direct_modules(emp)),
+            "direct_modules": sorted(direct_modules(emp.pattern)),
             "rcond": res.rcond,
         }
         json.dump(payload, sys.stdout, indent=2)
@@ -204,10 +201,10 @@ def cmd_rank(args):
     other = "logdet" if args.criterion == "trace" else "trace"
     rows = [
         (
-            pattern_label(e.emp.pattern),
+            pattern_label(e.pattern),
             repr(e.value),
             repr(e.info.criteria[other]),
-            ",".join(str(k) for k in sorted(direct_modules(e.emp))),
+            ",".join(str(k) for k in sorted(direct_modules(e.pattern))),
         )
         for e in ranking.entries
     ]
@@ -216,11 +213,11 @@ def cmd_rank(args):
     by_other = min(ranking.entries, key=lambda e: (e.info.criteria[other], e.canonical_index))
     if by_other is not ranking.entries[0]:
         print(
-            f"note: {other} prefers {pattern_label(by_other.emp.pattern)} over "
-            f"{pattern_label(ranking.entries[0].emp.pattern)}"
+            f"note: {other} prefers {pattern_label(by_other.pattern)} over "
+            f"{pattern_label(ranking.entries[0].pattern)}"
         )
-    for emp, idx, rcond in ranking.non_informative:
-        print(f"note: {emp.label} non-informative (rcond={rcond:.3g})")
+    for pattern, idx, rcond in ranking.non_informative:
+        print(f"note: {pattern_label(pattern)} non-informative (rcond={rcond:.3g})")
     outputs = []
     if args.out:
         outdir = Path(args.out)

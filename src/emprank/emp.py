@@ -10,13 +10,13 @@ patterns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
     "Emp",
     "direct_modules",
     "enumerate_minimal",
-    "is_minimal",
     "mirror",
     "pattern_label",
 ]
@@ -26,9 +26,10 @@ __all__ = [
 class Emp:
     """An excitation/measurement pattern with per-node variances.
 
-    sigma2 maps every excited node to its excitation variance (> 0); lam maps
-    every measured node to its noise variance (>= 0, zero meaning a noiseless
-    sensor, usable in simulation but not in information assembly).
+    sigma2 maps every excited node to its excitation variance (finite, > 0);
+    lam maps every measured node to its noise variance (finite, >= 0, zero
+    meaning a noiseless sensor, usable in simulation but not in information
+    assembly).
     """
 
     excited: frozenset
@@ -49,10 +50,10 @@ class Emp:
             raise ValueError("sigma2 must be keyed exactly by the excited nodes")
         if set(lam) != set(measured):
             raise ValueError("lam must be keyed exactly by the measured nodes")
-        if any(v <= 0 for v in sigma2.values()):
-            raise ValueError("excitation variances must be positive")
-        if any(v < 0 for v in lam.values()):
-            raise ValueError("noise variances must be non-negative")
+        if not all(0 < v < math.inf for v in sigma2.values()):
+            raise ValueError("excitation variances must be positive and finite")
+        if not all(0 <= v < math.inf for v in lam.values()):
+            raise ValueError("noise variances must be non-negative and finite")
         object.__setattr__(self, "excited", excited)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "sigma2", sigma2)
@@ -84,27 +85,6 @@ def pattern_label(pattern):
     return "B={};C={}".format(
         ",".join(str(i) for i in sorted(b)),
         ",".join(str(j) for j in sorted(c)),
-    )
-
-
-def is_minimal(emp, n):
-    """Whether the pattern is identifiable with the least possible cardinality.
-
-    Requires node 1 excited, node n measured, every node covered, the two
-    sets distinct, and total cardinality exactly n (so the interior nodes are
-    partitioned between the sets).
-    """
-    if n < 2:
-        raise ValueError("a cascade has at least 2 nodes")
-    b, c = emp.excited, emp.measured
-    if max(b | c) > n:
-        raise ValueError(f"pattern references nodes beyond {n}")
-    return (
-        1 in b
-        and n in c
-        and b | c == frozenset(range(1, n + 1))
-        and b != c
-        and len(b) + len(c) == n
     )
 
 
@@ -149,6 +129,7 @@ def mirror(emp, n):
     )
 
 
-def direct_modules(emp):
+def direct_modules(pattern):
     """Modules whose input node is excited and whose output node is measured."""
-    return {i for i in emp.excited if i + 1 in emp.measured}
+    b, c = pattern
+    return {i for i in b if i + 1 in c}

@@ -15,11 +15,13 @@ information matrix is
 
 where G_ij, the Gram of the stack's impulse responses at unit variance, is
 read from the network's Parseval pair-Gram table (``CascadeNetwork.pair_grams``).
-Patterns are evaluated in batches: one patterns x pairs weight matrix times
-the stacked Grams, then one stacked symmetric eigendecomposition.  The
-per-sample asymptotic covariance is P = M^-1, formed only when the eigenvalue
-ratio shows M to be numerically invertible; cov(theta_hat) over N samples is
-then P/N.
+A batch of patterns is given by per-node variance arrays sigma2 and lam of
+shape (patterns, n+1): sigma2 is zero at an unexcited node, lam infinite at
+an unmeasured one.  The patterns x pairs weights sigma2_i / lambda_j come by
+broadcasting, then one contraction with the stacked Grams and one stacked
+symmetric eigendecomposition.  The per-sample asymptotic covariance is
+P = M^-1, formed only when the eigenvalue ratio shows M to be numerically
+invertible; cov(theta_hat) over N samples is then P/N.
 """
 
 from __future__ import annotations
@@ -95,36 +97,34 @@ class InfoResult:
         return self.P is not None
 
 
-def _pair_weights(net, emps):
-    """sigma2_i / lambda_j of each pattern (rows) and pair i < j (columns); an
-    unexcited node has zero variance and an unmeasured one infinite noise."""
-    sigma2 = np.zeros((len(emps), net.n + 1))
-    lam = np.full((len(emps), net.n + 1), np.inf)
-    for e, emp in enumerate(emps):
-        sigma2[e, list(emp.sigma2)] = list(emp.sigma2.values())
-        lam[e, list(emp.lam)] = list(emp.lam.values())
-        silent = [j for j, v in emp.lam.items() if v <= 0 and j > min(emp.excited)]
-        if silent:
-            raise ValueError(
-                f"noise variance at measured node {min(silent)} must be positive to assemble M"
-            )
+def _pair_weights(net, sigma2, lam):
+    """sigma2_i / lambda_j of each pattern (rows) and pair i < j (columns)."""
+    first = np.argmax(sigma2 > 0, axis=1)  # first excited node of each pattern
+    silent = np.argwhere((lam <= 0) & (np.arange(net.n + 1) > first[:, None]))
+    if silent.size:
+        raise ValueError(
+            f"noise variance at measured node {silent[0, 1]} must be positive to assemble M"
+        )
     table = net.pair_grams
-    return sigma2[:, table.src] / lam[:, table.dst]
+    src, dst = sigma2[:, table.src], lam[:, table.dst]
+    # zero, not 0/0, for a noiseless sensor paired with an unexcited node
+    return np.divide(src, dst, out=np.zeros_like(src), where=src > 0)
 
 
-def information_batch(net, emps):
+def information_batch(net, sigma2, lam):
     """Assemble the per-sample information matrix of every pattern and invert it.
 
-    Parameters are ordered module-major (all of module 1, then module 2, ...).
-    Only excited/measured pairs with i < j contribute.  Each assembled matrix
-    is inverted only when its eigenvalue ratio clears RCOND_THRESHOLD;
-    otherwise its result reports a non-informative pattern with P=None.
-    Returns one InfoResult per pattern, in order.
+    sigma2 and lam are the per-node variance arrays of the patterns (see the
+    module docstring).  Parameters are ordered module-major (all of module 1,
+    then module 2, ...).  Only excited/measured pairs with i < j contribute.
+    Each assembled matrix is inverted only when its eigenvalue ratio clears
+    RCOND_THRESHOLD; otherwise its result reports a non-informative pattern
+    with P=None.  Returns one InfoResult per pattern, in order.
     """
     slices = net.param_slices
     # einsum's fixed summation order keeps each M independent of the batch,
     # and exactly symmetric, since the pair Grams are
-    M = np.einsum("ek,kab->eab", _pair_weights(net, emps), net.pair_grams.grams)
+    M = np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
     w, v = np.linalg.eigh(M)
     top = w[:, -1]
     rcond = np.divide(np.maximum(w[:, 0], 0.0), top, out=np.zeros_like(top), where=top > 0)
@@ -142,13 +142,16 @@ def information_batch(net, emps):
         )
         if ok[e]
         else InfoResult(M[e], None, rcond[e], slices, None, None)
-        for e in range(len(emps))
+        for e in range(len(M))
     ]
 
 
 def information_matrix(net, emp):
-    """The InfoResult of one pattern: ``information_batch`` of a batch of one."""
-    return information_batch(net, [emp])[0]
+    """The InfoResult of one Emp: ``information_batch`` of a batch of one."""
+    sigma2, lam = np.zeros((1, net.n + 1)), np.full((1, net.n + 1), np.inf)
+    sigma2[0, list(emp.sigma2)] = list(emp.sigma2.values())
+    lam[0, list(emp.lam)] = list(emp.lam.values())
+    return information_batch(net, sigma2, lam)[0]
 
 
 def criterion(result, kind="trace"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import logging
+import math
 import os
 import threading
 import time
@@ -127,6 +128,8 @@ class Perturbation:
                 raise ValueError(f"perturbation {name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.factor, Real):
             raise ValueError(f"perturbation factor must be a number, got {self.factor!r}")
+        if not math.isfinite(self.factor):
+            raise ValueError(f"perturbation factor must be finite, got {self.factor!r}")
         object.__setattr__(self, "factor", float(self.factor))
 
 
@@ -149,6 +152,8 @@ class ScenarioConfig:
             raise ValueError("selection experiments need at least 3 nodes")
         if self.family not in MODULE_FAMILIES:
             raise ValueError(f"family must be one of {MODULE_FAMILIES}, got {self.family!r}")
+        if not isinstance(self.identical, bool):
+            raise ValueError(f"identical must be true or false, got {self.identical!r}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         if self.master_seed < 0:

@@ -12,12 +12,13 @@ node i against the sensor noise at node j.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
+from .emp import Emp, direct_modules, enumerate_minimal, pattern_label
 from .fisher import NonInformativeError, criterion, information_batch, information_matrix
 
 __all__ = [
@@ -40,16 +41,27 @@ __all__ = [
 TIE_REL = 1e-12
 
 
+def _values(v):
+    return [float(x) for x in (v.values() if isinstance(v, Mapping) else [v])]
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     """Excitation/noise variances to apply to any pattern.
 
     Each field is either a scalar shared by all nodes or a node-keyed map;
-    a map must cover every node the pattern assigns to that role.
+    a map must cover every node the pattern assigns to that role.  Excitation
+    variances must be positive and noise variances non-negative, both finite.
     """
 
     sigma2: object = 1.0
     lam: object = 1.0
+
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in _values(self.sigma2)):
+            raise ValueError("excitation variances must be positive and finite")
+        if not all(0 <= v < math.inf for v in _values(self.lam)):
+            raise ValueError("noise variances must be non-negative and finite")
 
     def sigma2_at(self, node):
         return float(self.sigma2[node] if isinstance(self.sigma2, Mapping) else self.sigma2)
@@ -59,10 +71,7 @@ class VarianceProfile:
 
     @property
     def uniform(self):
-        def spread(v):
-            return len(set(v.values())) > 1 if isinstance(v, Mapping) else False
-
-        return not spread(self.sigma2) and not spread(self.lam)
+        return len(set(_values(self.sigma2))) <= 1 and len(set(_values(self.lam))) <= 1
 
     def emp_for(self, pattern):
         b, c = pattern
@@ -73,10 +82,20 @@ class VarianceProfile:
             {j: self.lam_at(j) for j in c},
         )
 
+    def minimal_variances(self, n):
+        """Per-node variance arrays (sigma2, lam) of shape (2^(n-2), n+1) of the
+        minimal patterns of an n-node cascade in ``enumerate_minimal`` order:
+        row c excites node k when bit k of 4c + 2 is set, else measures k >= 2."""
+        nodes = np.arange(n + 1)
+        excited = (np.arange(1 << (n - 2))[:, None] << 2 | 2) >> nodes & 1 == 1
+        sigma2 = [self.sigma2_at(i) if 0 < i < n else 0.0 for i in nodes]
+        lam = [self.lam_at(j) if j > 1 else np.inf for j in nodes]
+        return np.where(excited, sigma2, 0.0), np.where(~excited & (nodes > 1), lam, np.inf)
+
 
 @dataclass
 class RankEntry:
-    emp: Emp
+    pattern: tuple  # (B, C)
     canonical_index: int
     value: float
     info: object
@@ -88,7 +107,8 @@ class EmpRanking:
 
     Near-ties (relative gap below 1e-12) are ordered by canonical enumeration
     index so the ranking is deterministic.  Patterns whose information matrix
-    could not be inverted are kept aside in ``non_informative``.
+    could not be inverted are kept aside in ``non_informative`` as
+    (pattern, canonical index, rcond).
     """
 
     kind: str
@@ -112,16 +132,16 @@ class EmpRanking:
 
 def rank_emps(net, profile, kind="trace"):
     """Evaluate every minimal pattern of the network and sort by criterion."""
-    emps = [profile.emp_for(pattern) for pattern in enumerate_minimal(net.n)]
+    results = information_batch(net, *profile.minimal_variances(net.n))
     entries = []
     dead = []
-    for idx, (emp, res) in enumerate(zip(emps, information_batch(net, emps))):
+    for idx, (pattern, res) in enumerate(zip(enumerate_minimal(net.n), results)):
         if not res.informative:
-            dead.append((emp, idx, res.rcond))
+            dead.append((pattern, idx, res.rcond))
             continue
         entries.append(
             RankEntry(
-                emp=emp,
+                pattern=pattern,
                 canonical_index=idx,
                 value=criterion(res, kind),
                 info=res,
@@ -251,16 +271,16 @@ def verify_mirror(net, profile=VarianceProfile()):
     """
     hypotheses = net.identical_modules and profile.uniform
     perm = mirror_permutation([m.n_params for m in net.modules])
-    patterns = enumerate_minimal(net.n)
-    emps = [profile.emp_for(pattern) for pattern in patterns]
-    results = dict(zip(patterns, information_batch(net, emps)))
+    n = net.n
+    results = dict(zip(enumerate_minimal(n), information_batch(net, *profile.minimal_variances(n))))
     seen = set()
     pairs = []
     excluded = []
-    for pattern, emp in zip(patterns, emps):
+    for pattern in results:
         if pattern in seen:
             continue
-        mpattern = mirror(emp, net.n).pattern
+        b, c = pattern
+        mpattern = (frozenset(n - j + 1 for j in c), frozenset(n - i + 1 for i in b))
         seen.add(pattern)
         seen.add(mpattern)
         res, mres = results[pattern], results[mpattern]
@@ -299,11 +319,8 @@ class ModuleAccuracyReport:
 
 def module_accuracy_report(net, emp):
     res = information_matrix(net, emp)
-    directs = direct_modules(emp)
-    uniform = (
-        len(set(emp.sigma2.values())) <= 1 and len(set(emp.lam.values())) <= 1
-    )
-    hypotheses = net.identical_modules and uniform
+    directs = direct_modules(emp.pattern)
+    hypotheses = net.identical_modules and VarianceProfile(emp.sigma2, emp.lam).uniform
     if not res.informative:
         return ModuleAccuracyReport(emp, [], False, hypotheses, None)
     traces = res.traces
@@ -344,14 +361,10 @@ def covariance_block_identities(net, profile):
     inv = np.linalg.inv
     f_abc = inv(inv(inv(a) + inv(b)) + inv(inv(b) + inv(c)))
     blk = np.block
-    expected = {
+    expected = {  # in enumerate_minimal order
         (frozenset({1}), frozenset({2, 3, 4})): (
             blk([[a + b + c, b + c, c], [b + c, b + c, c], [c, c, c]]),
             [inv(a), inv(a) + inv(b), inv(b) + inv(c)],
-        ),
-        (frozenset({1, 2, 3}), frozenset({4})): (
-            blk([[c, c, c], [c, c + b, c + b], [c, c + b, a + b + c]]),
-            [inv(b) + inv(c), inv(a) + inv(b), inv(a)],
         ),
         (frozenset({1, 2}), frozenset({3, 4})): (
             blk([[b + c, b + c, c], [b + c, a + 2 * b + c, b + c], [c, b + c, b + c]]),
@@ -361,8 +374,12 @@ def covariance_block_identities(net, profile):
             blk([[a + c, c, c], [c, c, c], [c, c, a + c]]),
             [inv(a), 2 * inv(a) + inv(c), inv(a)],
         ),
+        (frozenset({1, 2, 3}), frozenset({4})): (
+            blk([[c, c, c], [c, c + b, c + b], [c, c + b, a + b + c]]),
+            [inv(b) + inv(c), inv(a) + inv(b), inv(a)],
+        ),
     }
-    results = information_batch(net, [profile.emp_for(pattern) for pattern in expected])
+    results = information_batch(net, *profile.minimal_variances(4))
     report = {}
     for (pattern, (m_expect, p_blocks)), res in zip(expected.items(), results):
         m_dev = np.linalg.norm(res.M - m_expect) / np.linalg.norm(m_expect)

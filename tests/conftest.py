@@ -25,6 +25,27 @@ def white_correlation(a, b, variance):
     return variance * (h[: len(a)] @ h[len(a):].T)
 
 
+def is_minimal(emp, n):
+    """Whether the pattern is identifiable with the least possible cardinality.
+
+    Requires node 1 excited, node n measured, every node covered, the two
+    sets distinct, and total cardinality exactly n (so the interior nodes are
+    partitioned between the sets).
+    """
+    if n < 2:
+        raise ValueError("a cascade has at least 2 nodes")
+    b, c = emp.excited, emp.measured
+    if max(b | c) > n:
+        raise ValueError(f"pattern references nodes beyond {n}")
+    return (
+        1 in b
+        and n in c
+        and b | c == frozenset(range(1, n + 1))
+        and b != c
+        and len(b) + len(c) == n
+    )
+
+
 def random_first_order(rng, pole_cap=0.9):
     a = rng.uniform(-pole_cap, pole_cap)
     b = rng.uniform(0.5, 2.0)

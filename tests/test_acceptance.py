@@ -30,7 +30,6 @@ from emprank import (
     empirical_covariance,
     enumerate_minimal,
     information_matrix,
-    is_minimal,
     param_jacobian,
     pattern_label,
     ratio_stats,
@@ -38,7 +37,7 @@ from emprank import (
     verify_mirror,
 )
 from emprank.fisher import gradient_stack
-from conftest import identical_network, random_first_order, white_correlation
+from conftest import identical_network, is_minimal, random_first_order, white_correlation
 
 MASTER_SEED = 20260815
 WORKERS = min(4, os.cpu_count() or 1)

@@ -5,14 +5,16 @@ cannot find as absent layers.  A traced run with an absent layer leaves
 declared per-layer metrics out of its report, so renaming or deleting a
 wrapped name breaks the benchmark even though every check passes.  These
 tests fail first: when a wrapped name is missing, when a wrapped function's
-return value no longer carries what its span counter reads, and when a name
-the workloads and checks read off emprank or one of its modules is gone.
+return value no longer carries what its span counter reads, when a name the
+workloads and checks read off emprank or one of its modules is gone, and
+when an attribute they read off a returned emprank object is.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from emprank import (
     run_scenario,
     simulate,
 )
+from emprank.cli import main
 from emprank.lti import impulse_response
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -109,3 +112,39 @@ def test_every_name_bench_reads_exists():
         f"{module}.{attr}" for module, attr in reads if not hasattr(importlib.import_module(module), attr)
     )
     assert not missing
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``workloads`` and ``checks`` imported as ``bench/run.py`` imports
+    them, with ``bench/`` at the front of ``sys.path``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("checks")
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in ("workloads", "checks", "oracle"):
+            sys.modules.pop(name, None)
+
+
+def test_bench_reads_of_returned_objects(bench, capsys):
+    workloads, checks = bench
+    # a clean chain, and one with patterns set aside (fault 1 of bench/checks.py)
+    dead = []
+    for chain in (("equal", 0), workloads.FAULT_CHAINS[0]):
+        _, ranked = workloads.RankOp(*workloads.fixed_chain(*chain)).run(0, 1)
+        assert sorted(ranked["order"] + ranked["dead"]) == list(range(1 << (workloads.RANK_N - 2)))
+        assert set(ranked["trace"]) == set(ranked["order"])
+        dead.append(len(ranked["dead"]))
+    assert dead[0] == 0 < dead[1]
+
+    cfg = ScenarioConfig(n=4, family="first_order", runs=3)
+    outcomes = checks.serial_outcomes(cfg)
+    assert checks.aggregate(cfg, outcomes) == workloads.report_summary(run_scenario(cfg, workers=1))
+
+    network = BENCH / "networks" / "disagree.json"
+    assert main(["rank", "--network", str(network), "--format", "json"]) == 0
+    rows, _ = checks.parse_cli(capsys.readouterr().out)
+    modules, profile = checks.load_network_file(network)
+    labels = [emp.label for emp in workloads.patterns_of(len(modules) + 1, profile)]
+    assert sorted(row["pattern"] for row in rows) == sorted(labels)

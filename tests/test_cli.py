@@ -355,6 +355,20 @@ class TestErrorPaths:
         assert "lambda at measured node 3 must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "literal", ["B=1;C=3;lambda=nan", "B=1;C=3;sigma2=inf"], ids=["nan-lambda", "infinite-sigma2"]
+    )
+    def test_non_finite_variance_in_pattern_literal(self, capsys, net3, literal):
+        assert main(["rank", "--network", str(net3), "--emp", literal]) == 2
+        assert "configuration error: " in capsys.readouterr().err
+
+    def test_overflowing_default(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf
+        path = tmp_path / "defaults.json"
+        path.write_text('{"modules": [{"family": "fir", "theta": [1.0]}], "defaults": {"sigma2": 1e400}}')
+        assert main(["rank", "--network", str(path)]) == 2
+        assert "configuration error: defaults" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "defaults, message",
         [({"lambda": 0}, "must be positive"), ({"sigma2": "abc"}, "bad defaults")],
         ids=["zero-lambda", "non-numeric-sigma2"],
@@ -406,13 +420,19 @@ class TestErrorPaths:
             ({"module": 1.9, "param": 1.7}, "perturbation module must be an integer, got 1.9"),
             ({"module": 1, "param": 1.7}, "perturbation param must be an integer, got 1.7"),
             ({"module": 1, "factor": "ten"}, "perturbation factor must be a number, got 'ten'"),
+            ({"module": 1, "factor": float("inf")}, "perturbation factor must be finite, got inf"),
         ],
-        ids=["module", "param", "factor"],
+        ids=["module", "param", "factor", "infinite-factor"],
     )
     def test_malformed_perturbation(self, tmp_path, capsys, perturbation, message):
         cfg = {"n": 3, "family": "first_order", "runs": 2, "perturbation": perturbation}
         err = self.scenario_error(tmp_path, capsys, cfg)
         assert f"configuration error: bad scenario config: {message}" in err
+
+    def test_non_boolean_identical(self, tmp_path, capsys):
+        cfg = {"n": 3, "family": "first_order", "runs": 2, "identical": "yes"}
+        err = self.scenario_error(tmp_path, capsys, cfg)
+        assert "configuration error: bad scenario config: identical must be true or false, got 'yes'" in err
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_floor(self, tmp_path, capsys, threads):

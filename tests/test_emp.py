@@ -6,10 +6,10 @@ from emprank import (
     Emp,
     direct_modules,
     enumerate_minimal,
-    is_minimal,
     mirror,
     pattern_label,
 )
+from conftest import is_minimal
 
 
 def make(excited, measured, sigma2=1.0, lam=1.0):
@@ -142,12 +142,12 @@ class TestMirror:
 
 class TestDirectModules:
     def test_examples(self):
-        assert direct_modules(make({1}, {2, 3, 4})) == {1}
-        assert direct_modules(make({1, 2}, {3, 4})) == {2}
-        assert direct_modules(make({1, 3}, {2, 4})) == {1, 3}
-        assert direct_modules(make({1, 2, 3}, {4})) == {3}
+        assert direct_modules(({1}, {2, 3, 4})) == {1}
+        assert direct_modules(({1, 2}, {3, 4})) == {2}
+        assert direct_modules(({1, 3}, {2, 4})) == {1, 3}
+        assert direct_modules(({1, 2, 3}, {4})) == {3}
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_every_minimal_pattern_has_one(self, n):
-        for b, c in enumerate_minimal(n):
-            assert direct_modules(Emp.uniform(b, c))
+        for pattern in enumerate_minimal(n):
+            assert direct_modules(pattern)

@@ -156,6 +156,15 @@ class TestInformationMatrix:
         with pytest.raises(ValueError, match="noise"):
             information_matrix(net, emp)
 
+    def test_zero_noise_before_first_excitation_carries_nothing(self):
+        # the noiseless sensor at node 2 sees no excitation, so it adds no
+        # information instead of a 0/0 weight
+        net = CascadeNetwork([ParamModule("fir", (1.0,)), ParamModule("fir", (0.5,)), ParamModule("fir", (0.8,))])
+        res = information_matrix(net, Emp(frozenset({3}), frozenset({2, 4}), {3: 1.0}, {2: 0.0, 4: 1.0}))
+        quiet = information_matrix(net, Emp(frozenset({3}), frozenset({4}), {3: 1.0}, {4: 1.0}))
+        np.testing.assert_array_equal(res.M, quiet.M)
+        assert not res.informative
+
     def test_non_informative_flagged(self):
         # a zero middle module blocks all information flow to the sink
         net = CascadeNetwork(

@@ -113,12 +113,15 @@ class TestScenarioConfig:
                 self.good(**{name: value})
         with pytest.raises(ValueError, match="master_seed"):
             self.good(master_seed=-1)
+        with pytest.raises(ValueError, match="identical must be true or false, got 'yes'"):
+            self.good(identical="yes")
         base = self.good().to_dict()
         for pert, message in (
             ({"module": 1.9, "param": 1.7}, "perturbation module must be an integer, got 1.9"),
             ({"module": 1, "param": 1.7}, "perturbation param must be an integer, got 1.7"),
             ({"module": "1"}, "perturbation module must be an integer, got '1'"),
             ({"module": 1, "factor": "10"}, "perturbation factor must be a number, got '10'"),
+            ({"module": 1, "factor": float("inf")}, "perturbation factor must be finite, got inf"),
         ):
             with pytest.raises(ValueError, match=message):
                 ScenarioConfig.from_dict(dict(base, perturbation=pert))

@@ -40,7 +40,7 @@ class TestRankEmps:
     def test_identical_equal_balanced_wins(self, rng):
         net = identical_network(rng, 4)
         ranking = rank_emps(net, VarianceProfile(1.0, 1.0))
-        assert ranking.best.emp.pattern == BALANCED
+        assert ranking.best.pattern == BALANCED
         vals = [e.value for e in ranking.entries]
         # ascending up to the tie tolerance used for canonical reordering
         assert all(b >= a * (1 - 1e-9) for a, b in zip(vals, vals[1:]))
@@ -48,18 +48,18 @@ class TestRankEmps:
     def test_end_patterns_tie_and_canonical_tiebreak(self, rng):
         net = identical_network(rng, 4)
         ranking = rank_emps(net, VarianceProfile(1.0, 1.0))
-        by_pattern = {e.emp.pattern: e for e in ranking.entries}
+        by_pattern = {e.pattern: e for e in ranking.entries}
         t1 = by_pattern[END_EXCITED]
         t2 = by_pattern[END_MEASURED]
         assert t1.value == pytest.approx(t2.value, rel=1e-9)
         # equal values fall back to enumeration order
-        pos = [e.emp.pattern for e in ranking.entries]
+        pos = [e.pattern for e in ranking.entries]
         assert pos.index(END_EXCITED) < pos.index(END_MEASURED)
 
     def test_three_node_tie_keeps_enumeration_order(self, rng):
         net = identical_network(rng, 3)
         ranking = rank_emps(net, VarianceProfile(2.0, 2.0))
-        assert [e.emp.pattern for e in ranking.entries] == [
+        assert [e.pattern for e in ranking.entries] == [
             (frozenset({1}), frozenset({2, 3})),
             (frozenset({1, 2}), frozenset({3})),
         ]
@@ -69,13 +69,13 @@ class TestRankEmps:
         net = random_network(rng, 4)
         base = rank_emps(net, VarianceProfile(1.0, 1.0))
         scaled = rank_emps(net, VarianceProfile(4.0, 0.5))
-        bv = {e.emp.pattern: e.value for e in base.entries}
-        sv = {e.emp.pattern: e.value for e in scaled.entries}
+        bv = {e.pattern: e.value for e in base.entries}
+        sv = {e.pattern: e.value for e in scaled.entries}
         for pat, v in bv.items():
             # information scales with sigma2/lam, covariance the other way
             assert sv[pat] == pytest.approx(v * 0.5 / 4.0, rel=1e-10)
-        assert [e.emp.pattern for e in base.entries] == [
-            e.emp.pattern for e in scaled.entries
+        assert [e.pattern for e in base.entries] == [
+            e.pattern for e in scaled.entries
         ]
 
     def test_logdet_ranking(self, rng):
@@ -98,9 +98,9 @@ class TestRankEmps:
         net = CascadeNetwork([ParamModule("fir", (0.0,)), ParamModule("fir", (0.9,))])
         ranking = rank_emps(net, VarianceProfile())
         assert len(ranking.entries) == 1
-        assert ranking.best.emp.pattern == (frozenset({1, 2}), frozenset({3}))
+        assert ranking.best.pattern == (frozenset({1, 2}), frozenset({3}))
         assert len(ranking.non_informative) == 1
-        assert ranking.non_informative[0][0].pattern == (
+        assert ranking.non_informative[0][0] == (
             frozenset({1}),
             frozenset({2, 3}),
         )
@@ -135,8 +135,10 @@ class TestBatchedEvaluation:
     def test_matches_per_pattern_evaluation(self, net, profile):
         ranking = rank_emps(net, profile)
         single = [information_matrix(net, profile.emp_for(p)) for p in enumerate_minimal(net.n)]
-        assert sorted(idx for _, idx, _ in ranking.non_informative) == [
-            i for i, res in enumerate(single) if not res.informative
+        assert ranking.non_informative == [
+            (p, i, res.rcond)
+            for i, (p, res) in enumerate(zip(enumerate_minimal(net.n), single))
+            if not res.informative
         ]
         informative = [i for i, res in enumerate(single) if res.informative]
         trace = {i: single[i].criteria["trace"] for i in informative}
@@ -144,10 +146,33 @@ class TestBatchedEvaluation:
             informative, key=lambda i: (trace[i], i)
         )
         for e in ranking.entries:
-            assert e.value == pytest.approx(trace[e.canonical_index], rel=1e-12)
-            np.testing.assert_allclose(
-                e.info.traces, single[e.canonical_index].traces, rtol=1e-12
-            )
+            one = single[e.canonical_index]
+            assert e.pattern == enumerate_minimal(net.n)[e.canonical_index]
+            np.testing.assert_array_equal(e.info.M, one.M)
+            assert e.info.rcond == one.rcond
+            assert e.info.criteria == one.criteria
+            assert e.value == trace[e.canonical_index]
+            assert e.info.traces == one.traces
+
+
+class TestVarianceProfile:
+    @pytest.mark.parametrize(
+        "sigma2, lam",
+        [
+            (0.0, 1.0),
+            ({1: 1.0, 2: -2.0}, 1.0),
+            (np.inf, 1.0),
+            (1.0, -0.1),
+            (1.0, {2: 1.0, 3: np.nan}),
+        ],
+        ids=["zero-sigma2", "negative-sigma2-at-node", "infinite-sigma2", "negative-lam", "nan-lam-at-node"],
+    )
+    def test_rejects_bad_variances_at_construction(self, sigma2, lam):
+        with pytest.raises(ValueError, match="variances must be"):
+            VarianceProfile(sigma2, lam)
+
+    def test_zero_noise_allowed(self):
+        assert VarianceProfile(1.0, 0.0).lam_at(2) == 0.0
 
 
 def accuracy(entry):
@@ -169,10 +194,11 @@ class TestBatchedProperties:
     @given(st.integers(3, 6), first_order_modules, variances, variances)
     def test_mirrored_patterns_tie(self, n, module, sigma2, lam):
         net = CascadeNetwork([module] * (n - 1))
-        ranking = rank_emps(net, VarianceProfile(sigma2, lam))
-        value = {e.emp.pattern: e.value for e in ranking.entries}
+        profile = VarianceProfile(sigma2, lam)
+        ranking = rank_emps(net, profile)
+        value = {e.pattern: e.value for e in ranking.entries}
         for e in ranking.entries:
-            twin = mirror(e.emp, n).pattern
+            twin = mirror(profile.emp_for(e.pattern), n).pattern
             assert value[twin] == pytest.approx(e.value, rel=accuracy(e))
 
     @settings(max_examples=25, deadline=None)
