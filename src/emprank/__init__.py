@@ -12,6 +12,7 @@ the asymptotic covariance against simulated data.
 from .cascade import CascadeNetwork
 from .emp import (
     Emp,
+    VarianceProfile,
     direct_modules,
     enumerate_minimal,
     mirror,
@@ -48,7 +49,6 @@ from .pem import (
 from .ranking import (
     EmpRanking,
     MirrorReport,
-    VarianceProfile,
     covariance_block_identities,
     mirror_permutation,
     module_accuracy_report,

@@ -6,9 +6,9 @@ Network files are JSON:
      "modules": [{"family": "first_order", "theta": [0.5, 1.0]}, ...],
      "defaults": {"sigma2": 1.0, "lambda": 0.01}}
 
-Pattern literals look like "B=1,2;C=3,4" with optional per-node variance
-lists "sigma2=..." / "lambda=..." aligned with the ascending node order of
-their set (a single value broadcasts).
+Pattern literals look like "B=1,2;C=3,4" (no node twice in a set) with
+optional per-node variance lists "sigma2=..." / "lambda=..." aligned with the
+ascending node order of their set (a single value broadcasts).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import math
@@ -27,12 +26,12 @@ from pathlib import Path
 
 from . import __version__
 from .cascade import CascadeNetwork
-from .emp import Emp, direct_modules, enumerate_minimal, mirror, pattern_label
-from .fisher import NonInformativeError, information_matrix
+from .emp import Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
+from .fisher import CRITERIA, NonInformativeError, information_matrix
 from .lti import ParamModule, UnstableFilterError
 from .montecarlo import ScenarioConfig, ratio_stats, run_scenario
 from .pem import TRANSIENT, empirical_covariance
-from .ranking import VarianceProfile, covariance_block_identities, rank_emps, verify_mirror
+from .ranking import covariance_block_identities, rank_emps, verify_mirror
 
 CONFIG_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -40,17 +39,6 @@ NUMERICAL_ERROR = 3
 
 class ConfigError(Exception):
     pass
-
-
-def _manifest(subcommand, config, seed, outputs):
-    return {
-        "tool": "emprank",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "master_seed": seed,
-        "outputs": [str(p) for p in outputs],
-    }
 
 
 def _seed_from(args):
@@ -113,6 +101,9 @@ def parse_emp_literal(text, n, profile):
             raise ConfigError(f"bad node list for {what}: {text!r}") from exc
         if not out or min(out) < 1 or max(out) > n:
             raise ConfigError(f"{what} nodes must lie in 1..{n}: {text!r}")
+        repeated = sorted({x for x in out if out.count(x) > 1})
+        if repeated:
+            raise ConfigError(f"{what} lists node {repeated[0]} twice: {text!r}")
         return out
 
     def variances(key, node_list, default):
@@ -164,14 +155,35 @@ def _emit_rows(header, rows, fmt, stream):
             stream.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
+def _write_outputs(outdir, stem, header, rows, payload, subcommand, config, seed):
+    """Write <stem>.csv (a "# manifest:" line, then the rows) and <stem>.json
+    (the manifest plus ``payload``) into outdir; return both paths."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    csv_path = outdir / f"{stem}.csv"
+    json_path = outdir / f"{stem}.json"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# manifest: {json_path.name}\n")
+        _emit_rows(header, rows, "csv", fh)
+    manifest = {
+        "tool": "emprank",
+        "version": __version__,
+        "subcommand": subcommand,
+        "config": config,
+        "master_seed": seed,
+        "outputs": [str(csv_path), str(json_path)],
+    }
+    json_path.write_text(json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True) + "\n")
+    return csv_path, json_path
+
+
 def cmd_enumerate(args):
-    profile = VarianceProfile()
     rows = [
         (
             idx,
             pattern_label(pattern),
             ",".join(str(k) for k in sorted(direct_modules(pattern))),
-            pattern_label(mirror(profile.emp_for(pattern), args.n).pattern),
+            pattern_label(mirror_pattern(pattern, args.n)),
         )
         for idx, pattern in enumerate(enumerate_minimal(args.n))
     ]
@@ -189,7 +201,7 @@ def cmd_rank(args):
             raise NonInformativeError(f"pattern {emp.label} is non-informative (rcond={res.rcond:.3g})")
         payload = {
             "pattern": emp.label,
-            "criterion": {k: res.criteria[k] for k in ("trace", "logdet")},
+            "criterion": {k: res.criteria[k] for k in CRITERIA},
             "block_traces": res.traces,
             "direct_modules": sorted(direct_modules(emp.pattern)),
             "rcond": res.rcond,
@@ -218,29 +230,10 @@ def cmd_rank(args):
         )
     for pattern, idx, rcond in ranking.non_informative:
         print(f"note: {pattern_label(pattern)} non-informative (rcond={rcond:.3g})")
-    outputs = []
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        csv_path = outdir / "ranking.csv"
-        json_path = outdir / "ranking.json"
-        outputs = [csv_path, json_path]
-        manifest = _manifest("rank", {"network": str(args.network), "criterion": args.criterion}, None, outputs)
-        buf = io.StringIO()
-        buf.write(f"# manifest: {json_path.name}\n")
-        _emit_rows(header, rows, "csv", buf)
-        csv_path.write_text(buf.getvalue())
-        json_path.write_text(
-            json.dumps(
-                {
-                    "manifest": manifest,
-                    "ranking": [dict(zip(header, row)) for row in rows],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        config = {"network": str(args.network), "criterion": args.criterion}
+        payload = {"ranking": [dict(zip(header, row)) for row in rows]}
+        _write_outputs(args.out, "ranking", header, rows, payload, "rank", config, None)
     if args.check_theorems:
         report = verify_mirror(net, profile)
         tag = "met" if report.hypotheses_met else "NOT met"
@@ -284,22 +277,16 @@ def cmd_montecarlo(args):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario config: {exc}") from exc
     report = run_scenario(cfg, workers=args.threads)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "scenario_report.csv"
-    json_path = outdir / "scenario_report.json"
-    manifest = _manifest("montecarlo", cfg.to_dict(), cfg.master_seed, [csv_path, json_path])
-    stats = ratio_stats(report)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# manifest: {json_path.name}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pattern", "count", "percent"])
-        for pattern, count, pct in zip(report.patterns, report.counts, report.percentages):
-            writer.writerow([pattern_label(pattern), int(count), repr(float(pct))])
-    json_path.write_text(
-        json.dumps({"manifest": manifest, "report": report.to_dict()}, indent=2, sort_keys=True)
-        + "\n"
+    rows = [
+        (pattern_label(pattern), int(count), repr(float(pct)))
+        for pattern, count, pct in zip(report.patterns, report.counts, report.percentages)
+    ]
+    header = ["pattern", "count", "percent"]
+    payload = {"report": report.to_dict()}
+    csv_path, json_path = _write_outputs(
+        args.out, "scenario_report", header, rows, payload, "montecarlo", cfg.to_dict(), cfg.master_seed
     )
+    stats = ratio_stats(report)
     if report.best_index is None:
         print(f"0 informative runs; all {report.n_rejected_runs} runs rejected")
     else:
@@ -358,7 +345,7 @@ def build_parser():
     p = sub.add_parser("rank", help="rank the minimal patterns of a network file")
     p.add_argument("--network", required=True, help="network JSON file")
     p.add_argument("--emp", help="evaluate a single pattern literal instead of ranking")
-    p.add_argument("--criterion", choices=("trace", "logdet"), default="trace")
+    p.add_argument("--criterion", choices=CRITERIA, default="trace")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", help="directory for ranking.csv / ranking.json")
     p.add_argument(

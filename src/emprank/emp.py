@@ -11,13 +11,18 @@ patterns.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "Emp",
+    "VarianceProfile",
     "direct_modules",
     "enumerate_minimal",
     "mirror",
+    "mirror_pattern",
     "pattern_label",
 ]
 
@@ -50,10 +55,7 @@ class Emp:
             raise ValueError("sigma2 must be keyed exactly by the excited nodes")
         if set(lam) != set(measured):
             raise ValueError("lam must be keyed exactly by the measured nodes")
-        if not all(0 < v < math.inf for v in sigma2.values()):
-            raise ValueError("excitation variances must be positive and finite")
-        if not all(0 <= v < math.inf for v in lam.values()):
-            raise ValueError("noise variances must be non-negative and finite")
+        VarianceProfile(sigma2, lam)  # rejects invalid variance values
         object.__setattr__(self, "excited", excited)
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "sigma2", sigma2)
@@ -62,14 +64,7 @@ class Emp:
     @classmethod
     def uniform(cls, excited, measured, sigma2=1.0, lam=1.0):
         """Pattern with one shared excitation variance and one shared noise variance."""
-        excited = frozenset(excited)
-        measured = frozenset(measured)
-        return cls(
-            excited,
-            measured,
-            {i: sigma2 for i in excited},
-            {j: lam for j in measured},
-        )
+        return VarianceProfile(sigma2, lam).emp_for((excited, measured))
 
     @property
     def pattern(self):
@@ -78,6 +73,58 @@ class Emp:
     @property
     def label(self):
         return pattern_label(self.pattern)
+
+
+def _values(v):
+    return [float(x) for x in (v.values() if isinstance(v, Mapping) else [v])]
+
+
+@dataclass(frozen=True)
+class VarianceProfile:
+    """Excitation/noise variances to apply to any pattern.
+
+    Each field is either a scalar shared by all nodes or a node-keyed map;
+    a map must cover every node the pattern assigns to that role.  Excitation
+    variances must be positive and noise variances non-negative, both finite.
+    """
+
+    sigma2: object = 1.0
+    lam: object = 1.0
+
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in _values(self.sigma2)):
+            raise ValueError("excitation variances must be positive and finite")
+        if not all(0 <= v < math.inf for v in _values(self.lam)):
+            raise ValueError("noise variances must be non-negative and finite")
+
+    def sigma2_at(self, node):
+        return float(self.sigma2[node] if isinstance(self.sigma2, Mapping) else self.sigma2)
+
+    def lam_at(self, node):
+        return float(self.lam[node] if isinstance(self.lam, Mapping) else self.lam)
+
+    @property
+    def uniform(self):
+        return len(set(_values(self.sigma2))) <= 1 and len(set(_values(self.lam))) <= 1
+
+    def emp_for(self, pattern):
+        b, c = pattern
+        return Emp(
+            frozenset(b),
+            frozenset(c),
+            {i: self.sigma2_at(i) for i in b},
+            {j: self.lam_at(j) for j in c},
+        )
+
+    def minimal_variances(self, n):
+        """Per-node variance arrays (sigma2, lam) of shape (2^(n-2), n+1) of the
+        minimal patterns of an n-node cascade in ``enumerate_minimal`` order:
+        row c excites node k when bit k of 4c + 2 is set, else measures k >= 2."""
+        nodes = np.arange(n + 1)
+        excited = (np.arange(1 << (n - 2))[:, None] << 2 | 2) >> nodes & 1 == 1
+        sigma2 = [self.sigma2_at(i) if 0 < i < n else 0.0 for i in nodes]
+        lam = [self.lam_at(j) if j > 1 else np.inf for j in nodes]
+        return np.where(excited, sigma2, 0.0), np.where(~excited & (nodes > 1), lam, np.inf)
 
 
 def pattern_label(pattern):
@@ -112,18 +159,20 @@ def enumerate_minimal(n):
     return patterns
 
 
-def mirror(emp, n):
-    """Reflect a pattern end-for-end: node j maps to n - j + 1 and the roles swap.
-
-    Excited nodes become measured ones and vice versa; each variance value
-    travels with its node position, so sigma2 at node j becomes lam at node
-    n - j + 1 and the other way around.
-    """
-    if max(emp.excited | emp.measured) > n:
+def mirror_pattern(pattern, n):
+    """Reflect a (B, C) pair end-for-end: node j maps to n - j + 1 and the
+    roles swap, so excited nodes become measured ones and vice versa."""
+    b, c = pattern
+    if max(b | c) > n:
         raise ValueError(f"pattern references nodes beyond {n}")
+    return frozenset(n - j + 1 for j in c), frozenset(n - i + 1 for i in b)
+
+
+def mirror(emp, n):
+    """Reflect a pattern with its variances (see ``mirror_pattern``): each value
+    travels with its node, so sigma2 at node j becomes lam at node n - j + 1."""
     return Emp(
-        frozenset(n - j + 1 for j in emp.measured),
-        frozenset(n - i + 1 for i in emp.excited),
+        *mirror_pattern(emp.pattern, n),
         {n - j + 1: v for j, v in emp.lam.items()},
         {n - i + 1: v for i, v in emp.sigma2.items()},
     )

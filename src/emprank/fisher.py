@@ -33,6 +33,7 @@ import numpy as np
 from .lti import param_jacobian, series
 
 __all__ = [
+    "CRITERIA",
     "GradientStack",
     "InfoResult",
     "NonInformativeError",

@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_MAX_LEN",
     "DEFAULT_TAIL_TOL",
     "FAMILIES",
+    "FAMILY_SIZES",
     "FIR",
     "FIRST_ORDER",
     "SECOND_ORDER",
@@ -52,6 +53,8 @@ FIR = "fir"
 FIRST_ORDER = "first_order"
 SECOND_ORDER = "second_order"
 FAMILIES = (FIR, FIRST_ORDER, SECOND_ORDER)
+# parameters per module of the fixed-size families; fir takes any number of taps
+FAMILY_SIZES = {FIRST_ORDER: 2, SECOND_ORDER: 4}
 
 
 class StructureError(ValueError):
@@ -145,7 +148,7 @@ class ParamModule:
         theta = tuple(float(t) for t in np.atleast_1d(np.asarray(self.theta, dtype=float)))
         if not all(np.isfinite(theta)):
             raise StructureError("module parameters must be finite")
-        expected = {FIRST_ORDER: 2, SECOND_ORDER: 4}.get(self.family)
+        expected = FAMILY_SIZES.get(self.family)
         if expected is not None and len(theta) != expected:
             raise StructureError(
                 f"{self.family} takes {expected} parameters, got {len(theta)}"

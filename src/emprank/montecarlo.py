@@ -27,10 +27,10 @@ from numbers import Integral, Real
 import numpy as np
 
 from .cascade import CascadeNetwork
-from .emp import pattern_label, enumerate_minimal
-from .fisher import NonInformativeError
-from .lti import FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
-from .ranking import VarianceProfile, rank_emps
+from .emp import VarianceProfile, enumerate_minimal, pattern_label
+from .fisher import CRITERIA, NonInformativeError
+from .lti import FAMILY_SIZES, FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
+from .ranking import rank_emps
 
 __all__ = [
     "FIR_BUTTERWORTH",
@@ -160,8 +160,8 @@ class ScenarioConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.variance_mode not in ("equal", "random"):
             raise ValueError(f"variance_mode must be 'equal' or 'random', got {self.variance_mode!r}")
-        if self.criterion not in ("trace", "logdet"):
-            raise ValueError(f"criterion must be 'trace' or 'logdet', got {self.criterion!r}")
+        if self.criterion not in CRITERIA:
+            raise ValueError(f"criterion must be {' or '.join(map(repr, CRITERIA))}, got {self.criterion!r}")
         if self.perturbation is not None:
             p = self.perturbation
             if not 1 <= p.module <= self.n - 1:
@@ -169,7 +169,7 @@ class ScenarioConfig:
             if p.param < 0:
                 raise ValueError("perturbation parameter index must be >= 0")
             # fir_butterworth tap counts vary per draw; _draw_modules checks those
-            n_params = {FIRST_ORDER: 2, SECOND_ORDER: 4}.get(self.family)
+            n_params = FAMILY_SIZES.get(self.family)
             if n_params is not None and p.param >= n_params:
                 raise ValueError(
                     f"perturbation parameter {p.param} outside {self.family} modules "

@@ -12,13 +12,11 @@ node i against the sensor noise at node j.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .emp import Emp, direct_modules, enumerate_minimal, pattern_label
+from .emp import Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
 from .fisher import NonInformativeError, criterion, information_batch, information_matrix
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "ModuleAccuracyReport",
     "PairwisePreference",
     "RankEntry",
-    "VarianceProfile",
     "covariance_block_identities",
     "mirror_permutation",
     "module_accuracy_report",
@@ -39,58 +36,6 @@ __all__ = [
 ]
 
 TIE_REL = 1e-12
-
-
-def _values(v):
-    return [float(x) for x in (v.values() if isinstance(v, Mapping) else [v])]
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """Excitation/noise variances to apply to any pattern.
-
-    Each field is either a scalar shared by all nodes or a node-keyed map;
-    a map must cover every node the pattern assigns to that role.  Excitation
-    variances must be positive and noise variances non-negative, both finite.
-    """
-
-    sigma2: object = 1.0
-    lam: object = 1.0
-
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in _values(self.sigma2)):
-            raise ValueError("excitation variances must be positive and finite")
-        if not all(0 <= v < math.inf for v in _values(self.lam)):
-            raise ValueError("noise variances must be non-negative and finite")
-
-    def sigma2_at(self, node):
-        return float(self.sigma2[node] if isinstance(self.sigma2, Mapping) else self.sigma2)
-
-    def lam_at(self, node):
-        return float(self.lam[node] if isinstance(self.lam, Mapping) else self.lam)
-
-    @property
-    def uniform(self):
-        return len(set(_values(self.sigma2))) <= 1 and len(set(_values(self.lam))) <= 1
-
-    def emp_for(self, pattern):
-        b, c = pattern
-        return Emp(
-            frozenset(b),
-            frozenset(c),
-            {i: self.sigma2_at(i) for i in b},
-            {j: self.lam_at(j) for j in c},
-        )
-
-    def minimal_variances(self, n):
-        """Per-node variance arrays (sigma2, lam) of shape (2^(n-2), n+1) of the
-        minimal patterns of an n-node cascade in ``enumerate_minimal`` order:
-        row c excites node k when bit k of 4c + 2 is set, else measures k >= 2."""
-        nodes = np.arange(n + 1)
-        excited = (np.arange(1 << (n - 2))[:, None] << 2 | 2) >> nodes & 1 == 1
-        sigma2 = [self.sigma2_at(i) if 0 < i < n else 0.0 for i in nodes]
-        lam = [self.lam_at(j) if j > 1 else np.inf for j in nodes]
-        return np.where(excited, sigma2, 0.0), np.where(~excited & (nodes > 1), lam, np.inf)
 
 
 @dataclass
@@ -157,7 +102,8 @@ def rank_emps(net, profile, kind="trace"):
     while i < len(entries):
         j = i + 1
         head = entries[i].value
-        while j < len(entries) and entries[j].value <= head * (1.0 + TIE_REL):
+        bound = head * (1.0 + TIE_REL if head >= 0 else 1.0 - TIE_REL)
+        while j < len(entries) and entries[j].value <= bound:
             j += 1
         ordered.extend(sorted(entries[i:j], key=lambda e: e.canonical_index))
         i = j
@@ -279,8 +225,7 @@ def verify_mirror(net, profile=VarianceProfile()):
     for pattern in results:
         if pattern in seen:
             continue
-        b, c = pattern
-        mpattern = (frozenset(n - j + 1 for j in c), frozenset(n - i + 1 for i in b))
+        mpattern = mirror_pattern(pattern, n)
         seen.add(pattern)
         seen.add(mpattern)
         res, mres = results[pattern], results[mpattern]
@@ -361,27 +306,27 @@ def covariance_block_identities(net, profile):
     inv = np.linalg.inv
     f_abc = inv(inv(inv(a) + inv(b)) + inv(inv(b) + inv(c)))
     blk = np.block
-    expected = {  # in enumerate_minimal order
-        (frozenset({1}), frozenset({2, 3, 4})): (
+    expected = [  # enumerate_minimal(4): B = {1}, {1, 2}, {1, 3}, {1, 2, 3}
+        (
             blk([[a + b + c, b + c, c], [b + c, b + c, c], [c, c, c]]),
             [inv(a), inv(a) + inv(b), inv(b) + inv(c)],
         ),
-        (frozenset({1, 2}), frozenset({3, 4})): (
+        (
             blk([[b + c, b + c, c], [b + c, a + 2 * b + c, b + c], [c, b + c, b + c]]),
             [f_abc, inv(a + inv(2 * inv(b) + inv(c))), f_abc],
         ),
-        (frozenset({1, 3}), frozenset({2, 4})): (
+        (
             blk([[a + c, c, c], [c, c, c], [c, c, a + c]]),
             [inv(a), 2 * inv(a) + inv(c), inv(a)],
         ),
-        (frozenset({1, 2, 3}), frozenset({4})): (
+        (
             blk([[c, c, c], [c, c + b, c + b], [c, c + b, a + b + c]]),
             [inv(b) + inv(c), inv(a) + inv(b), inv(a)],
         ),
-    }
+    ]
     results = information_batch(net, *profile.minimal_variances(4))
     report = {}
-    for (pattern, (m_expect, p_blocks)), res in zip(expected.items(), results):
+    for pattern, (m_expect, p_blocks), res in zip(enumerate_minimal(4), expected, results):
         m_dev = np.linalg.norm(res.M - m_expect) / np.linalg.norm(m_expect)
         p_dev = max(
             np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import emprank
+from emprank import Emp, enumerate_minimal, mirror, pattern_label
 from emprank.cli import main
 
 SRC = os.path.dirname(os.path.dirname(emprank.__file__))
@@ -88,6 +89,14 @@ class TestEnumerate:
         assert rows[0] == ["index", "pattern", "direct_modules", "mirror"]
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_mirror_column_matches_emp_mirror(self, capsys, n):
+        assert main(["enumerate", "-n", str(n), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["mirror"] for r in rows] == [
+            pattern_label(mirror(Emp.uniform(*p), n).pattern) for p in enumerate_minimal(n)
+        ]
+
 
 class TestRank:
     def test_single_pattern_payload(self, capsys, net3):
@@ -116,15 +125,23 @@ class TestRank:
         assert lines[1].startswith("B=1,2;C=3,4")
 
     def test_out_files_and_manifest(self, tmp_path, capsys, net4):
-        outdir = tmp_path / "results"
-        assert main(["rank", "--network", str(net4), "--out", str(outdir)]) == 0
-        capsys.readouterr()
-        csv_text = (outdir / "ranking.csv").read_text()
-        assert csv_text.startswith("# manifest: ranking.json\n")
-        doc = json.loads((outdir / "ranking.json").read_text())
-        assert doc["manifest"]["tool"] == "emprank"
-        assert doc["manifest"]["subcommand"] == "rank"
-        assert len(doc["ranking"]) == 4
+        for criterion in ("trace", "logdet"):
+            outdir = tmp_path / criterion
+            base = ["rank", "--network", str(net4), "--criterion", criterion]
+            assert main(base + ["--out", str(outdir)]) == 0
+            capsys.readouterr()
+            manifest_line, rows = (outdir / "ranking.csv").read_text().split("\n", 1)
+            assert manifest_line == "# manifest: ranking.json"
+            doc = json.loads((outdir / "ranking.json").read_text())
+            assert doc["manifest"]["tool"] == "emprank"
+            assert doc["manifest"]["subcommand"] == "rank"
+            assert doc["manifest"]["config"] == {"network": str(net4), "criterion": criterion}
+            assert len(doc["ranking"]) == 4
+            # the files hold what --format csv / json print
+            assert main(base + ["--format", "csv"]) == 0
+            assert capsys.readouterr().out == rows
+            assert main(base + ["--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == doc["ranking"]
 
     def test_check_theorems_passes(self, capsys, net4):
         assert main(["rank", "--network", str(net4), "--check-theorems"]) == 0
@@ -171,7 +188,12 @@ class TestMonteCarlo:
         assert sum(int(r[1]) for r in rows[1:]) == 12
         doc = json.loads((outdir / "scenario_report.json").read_text())
         assert doc["manifest"]["master_seed"] == 3
+        assert doc["manifest"]["outputs"] == [str(outdir / "scenario_report.csv"), str(outdir / "scenario_report.json")]
         assert doc["report"]["n_informative_runs"] == 12
+        report = doc["report"]
+        assert rows[1:] == [
+            [p, str(c), repr(q)] for p, c, q in zip(report["patterns"], report["counts"], report["percentages"])
+        ]
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path, master_seed=8)
@@ -342,6 +364,21 @@ class TestErrorPaths:
         assert main(["rank", "--network", str(net3), "--emp", "B=1;C=9"]) == 2
         assert main(["rank", "--network", str(net3), "--emp", "B=1;C=2,3;sigma2=1,2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [("B=1,1,2;C=3;sigma2=1,5,7", "B lists node 1 twice"), ("B=1,2;C=3,3", "C lists node 3 twice")],
+        ids=["excited", "measured"],
+    )
+    def test_node_listed_twice_in_pattern_literal(self, capsys, net3, literal, message):
+        assert main(["rank", "--network", str(net3), "--emp", literal]) == 2
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_unknown_criterion(self, capsys, net3):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--network", str(net3), "--criterion", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_zero_lambda_in_pattern_literal(self, capsys, net3):
         assert main(["rank", "--network", str(net3), "--emp", "B=1;C=2,3;lambda=0"]) == 2

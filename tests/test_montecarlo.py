@@ -104,8 +104,8 @@ class TestScenarioConfig:
             self.good(runs=0)
         with pytest.raises(ValueError, match="variance_mode"):
             self.good(variance_mode="mixed")
-        with pytest.raises(ValueError, match="criterion"):
-            self.good(criterion="a")
+        with pytest.raises(ValueError, match="criterion must be 'trace' or 'logdet', got 'bogus'"):
+            self.good(criterion="bogus")
         with pytest.raises(ValueError, match="module"):
             self.good(perturbation=Perturbation(module=4))
         for name, value in (("n", 3.5), ("runs", 2.0), ("master_seed", "1")):

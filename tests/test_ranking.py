@@ -47,14 +47,26 @@ class TestRankEmps:
 
     def test_end_patterns_tie_and_canonical_tiebreak(self, rng):
         net = identical_network(rng, 4)
-        ranking = rank_emps(net, VarianceProfile(1.0, 1.0))
-        by_pattern = {e.pattern: e for e in ranking.entries}
-        t1 = by_pattern[END_EXCITED]
-        t2 = by_pattern[END_MEASURED]
-        assert t1.value == pytest.approx(t2.value, rel=1e-9)
-        # equal values fall back to enumeration order
-        pos = [e.pattern for e in ranking.entries]
-        assert pos.index(END_EXCITED) < pos.index(END_MEASURED)
+        for kind in ("trace", "logdet"):
+            ranking = rank_emps(net, VarianceProfile(1.0, 1.0), kind)
+            by_pattern = {e.pattern: e for e in ranking.entries}
+            t1 = by_pattern[END_EXCITED]
+            t2 = by_pattern[END_MEASURED]
+            assert t1.value == pytest.approx(t2.value, rel=1e-9)
+            # equal values fall back to enumeration order
+            pos = [e.pattern for e in ranking.entries]
+            assert pos.index(END_EXCITED) < pos.index(END_MEASURED)
+
+    def test_negative_near_tie_keeps_enumeration_order(self):
+        # logdet(P) < 0 here, and the mirrored end patterns 0 and 3 tie up to
+        # rounding, with pattern 3 the smaller by a few ulps
+        net = CascadeNetwork([ParamModule("first_order", (0.5, 1.0))] * 3)
+        ranking = rank_emps(net, VarianceProfile(1.0, 0.01), kind="logdet")
+        order = [e.canonical_index for e in ranking.entries]
+        by_index = {e.canonical_index: e.value for e in ranking.entries}
+        assert by_index[0] < 0
+        assert by_index[3] == pytest.approx(by_index[0], rel=1e-12)
+        assert order.index(0) < order.index(3)
 
     def test_three_node_tie_keeps_enumeration_order(self, rng):
         net = identical_network(rng, 3)
@@ -367,7 +379,7 @@ class TestBlockIdentities:
     def test_identical_first_order(self, rng):
         net = identical_network(rng, 4)
         report = covariance_block_identities(net, VarianceProfile(1.0, 0.01))
-        assert len(report) == 4
+        assert list(report) == enumerate_minimal(4)
         for devs in report.values():
             assert devs["m_deviation"] < 1e-8
             assert devs["block_deviation"] < 1e-8
