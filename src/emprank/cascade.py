@@ -15,7 +15,7 @@ frequencies of an N-point FFT grid, with the paths as prefix products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class CascadeNetwork:
                 raise UnstableFilterError(f"module {k} is unstable (pole magnitude {rho:.6g})")
         self._modules = modules
         self._radii = radii
-        self._paths = {(i, i): UNIT for i in range(1, len(modules) + 2)}
 
     @property
     def n(self):
@@ -171,7 +170,7 @@ class CascadeNetwork:
 
     def path_gain(self, i, j):
         """Product (b, a) of the module filters along the path from node i to
-        node j, memoized.
+        node j, multiplied in chain order.
 
         path_gain(i, i) is the unit filter ([1.], [1.]); i > j raises because
         a cascade has no reverse paths.
@@ -181,10 +180,7 @@ class CascadeNetwork:
             raise ValueError(f"nodes must lie in 1..{n}, got ({i}, {j})")
         if i > j:
             raise ValueError(f"no path from node {i} back to node {j} in a cascade")
-        pair = self._paths.get((i, j))
-        if pair is None:
-            pair = self._paths[i, j] = series(self.path_gain(i, j - 1), realize(self._modules[j - 2]))
-        return pair
+        return reduce(series, map(realize, self._modules[i - 1: j - 1]), UNIT)
 
     def __repr__(self):
         return f"CascadeNetwork(n={self.n}, modules={list(self._modules)!r})"

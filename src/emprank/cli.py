@@ -20,7 +20,6 @@ import csv
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -41,16 +40,12 @@ class ConfigError(Exception):
     pass
 
 
-def _seed_from(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("EMP_RANK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"EMP_RANK_SEED must be an integer, got {env!r}") from exc
-    return 0
+def _numbers(values):
+    """values as a tuple; JSON true/false, which Python reads as 1 and 0, raise."""
+    values = tuple(values)
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError(f"expected numbers, got {list(values)!r}")
+    return values
 
 
 def load_network(path):
@@ -62,7 +57,7 @@ def load_network(path):
         raise ConfigError(f"network file {path} is not valid JSON: {exc}") from exc
     try:
         modules = [
-            ParamModule(m["family"], tuple(m["theta"])) for m in spec["modules"]
+            ParamModule(m["family"], _numbers(m["theta"])) for m in spec["modules"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad module list in {path}: {exc}") from exc
@@ -74,7 +69,7 @@ def load_network(path):
         )
     defaults = spec.get("defaults", {})
     try:
-        sigma2, lam = (float(defaults.get(key, 1.0)) for key in ("sigma2", "lambda"))
+        sigma2, lam = map(float, _numbers(defaults.get(key, 1.0) for key in ("sigma2", "lambda")))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad defaults in {path}: {exc}") from exc
     if not (0 < sigma2 < math.inf and 0 < lam < math.inf):
@@ -270,8 +265,6 @@ def cmd_montecarlo(args):
         raw["runs"] = args.runs
     if args.seed is not None:
         raw["master_seed"] = args.seed
-    elif "master_seed" not in raw:
-        raw["master_seed"] = _seed_from(args)
     try:
         cfg = ScenarioConfig.from_dict(raw)
     except (TypeError, ValueError) as exc:
@@ -308,13 +301,12 @@ def cmd_validate(args):
     modules, profile = load_network(args.network)
     net = CascadeNetwork(modules)
     emp = parse_emp_literal(args.emp, net.n, profile)
-    seed = _seed_from(args)
-    check = empirical_covariance(net, emp, args.samples, args.replications, seed=seed)
+    check = empirical_covariance(net, emp, args.samples, args.replications, seed=args.seed)
     payload = {
         "pattern": emp.label,
         "samples": args.samples,
         "replications": args.replications,
-        "seed": seed,
+        "seed": args.seed,
         "theoretical_trace": check.theoretical_trace,
         "empirical_trace": check.empirical_trace,
         "rel_deviation": check.rel_deviation,
@@ -368,7 +360,7 @@ def build_parser():
     p.add_argument("--emp", required=True, help="pattern literal, e.g. B=1;C=2,3")
     p.add_argument("-N", "--samples", type=int, default=2000)
     p.add_argument("--replications", type=int, default=200)
-    p.add_argument("--seed", type=int, help="master seed (default: EMP_RANK_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(handler=cmd_validate)
     return parser
 

@@ -34,7 +34,6 @@ from .lti import param_jacobian, series
 
 __all__ = [
     "CRITERIA",
-    "GradientStack",
     "InfoResult",
     "NonInformativeError",
     "RCOND_THRESHOLD",
@@ -52,33 +51,19 @@ class NonInformativeError(RuntimeError):
     """The experiment does not carry enough information to invert M."""
 
 
-@dataclass(frozen=True)
-class GradientStack:
-    """Per-module derivative filters for one excited/measured node pair.
-
-    ``blocks[k]`` holds the entry filters (b, a) of module k, present only
-    for i <= k < j; other modules are structurally absent from the stack.
-    """
-
-    source: int
-    sink: int
-    blocks: dict
-
-
 def gradient_stack(net, i, j):
-    """Gradient stack of the pair excited node i -> measured node j.
+    """Gradient stack of the pair excited node i -> measured node j: the
+    entry filters (b, a) of each module k, keyed by k, for i <= k < j.
 
     i >= j yields an empty stack: the direct feedthrough of a node into its
     own sensor carries no parameter information and reverse paths do not
     exist in a cascade.
     """
-    if i >= j:
-        return GradientStack(i, j, {})
     blocks = {}
     for k in range(i, j):
         base = series(net.path_gain(i, k), net.path_gain(k + 1, j))
         blocks[k] = tuple(series(d, base) for d in param_jacobian(net.modules[k - 1]))
-    return GradientStack(i, j, blocks)
+    return blocks
 
 
 @dataclass

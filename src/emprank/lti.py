@@ -26,8 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DEFAULT_MAX_LEN",
-    "DEFAULT_TAIL_TOL",
     "FAMILIES",
     "FAMILY_SIZES",
     "FIR",
@@ -46,8 +44,8 @@ __all__ = [
 ]
 
 STABILITY_MARGIN = 1.0 - 1e-9
-DEFAULT_MAX_LEN = 4096
-DEFAULT_TAIL_TOL = 1e-12
+_MAX_LEN = 4096  # longest impulse response computed
+_TAIL_TOL = 1e-12  # samples below this magnitude end a response
 
 FIR = "fir"
 FIRST_ORDER = "first_order"
@@ -93,17 +91,17 @@ def _kept(h, tol):
     return int(above[-1]) + 1 if above.size else 1
 
 
-def impulse_response(filt, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
+def impulse_response(filt):
     """Truncated impulse response of a stable filter (b, a).
 
     Returns ``(h, converged)`` where ``h`` keeps every sample up to the last
-    one with ``|h(k)| >= tail_tol``.  For delay-line (FIR-type) filters the
+    one with ``|h(k)| >= 1e-12``.  For delay-line (FIR-type) filters the
     response is b itself, exact by construction.  For genuinely rational
     filters the recursion is run until a trailing window of
-    ``max(8, 2*order)`` consecutive samples sits below ``tail_tol``; the
+    ``max(8, 2*order)`` consecutive samples sits below that tolerance; the
     geometric envelope rho^k set by the largest pole magnitude rho < 1 then
-    keeps every later sample below the tolerance as well.  If ``max_len`` is
-    reached first, the full buffer is returned with ``converged=False``.
+    keeps every later sample below it as well.  If 4096 samples are reached
+    first, all of them are returned with ``converged=False``.
 
     Raises
     ------
@@ -115,24 +113,21 @@ def impulse_response(filt, max_len=DEFAULT_MAX_LEN, tail_tol=DEFAULT_TAIL_TOL):
     b, a = filt
     rho = pole_radius(filt)
     if rho == 0.0:
-        h = np.array(b, dtype=float)
-        if h.size > max_len:
-            return h[:max_len], bool(np.all(np.abs(h[max_len:]) < tail_tol))
-        return h[: _kept(h, tail_tol)], True
+        return np.array(b[: _kept(b, _TAIL_TOL)], dtype=float), True
     if not rho < STABILITY_MARGIN:
         raise UnstableFilterError(f"impulse response diverges: largest pole magnitude {rho:.6g}")
     window = max(8, 2 * (len(a) - 1))
-    n = int(min(max_len, max(64, len(b) + window + int(np.ceil(np.log(tail_tol) / np.log(rho))))))
+    n = int(min(_MAX_LEN, max(64, len(b) + window + int(np.ceil(np.log(_TAIL_TOL) / np.log(rho))))))
     while True:
         x = np.zeros(n)
         x[0] = 1.0
         h = lfilter(b, a, x)
-        cut = _kept(h, tail_tol)
+        cut = _kept(h, _TAIL_TOL)
         if n - cut >= window:
             return h[:cut], True
-        if n >= max_len:
+        if n >= _MAX_LEN:
             return h, False
-        n = int(min(max_len, 2 * n))
+        n = int(min(_MAX_LEN, 2 * n))
 
 
 @dataclass(frozen=True)

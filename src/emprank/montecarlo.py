@@ -114,6 +114,10 @@ _SAMPLERS = {
 }
 
 
+def _is_int(value):  # JSON true/false arrive as bool, an Integral
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Scale parameter ``param`` (0-indexed) of module ``module`` (1-indexed)."""
@@ -124,9 +128,9 @@ class Perturbation:
 
     def __post_init__(self):
         for name in ("module", "param"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"perturbation {name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.factor, Real):
+        if isinstance(self.factor, bool) or not isinstance(self.factor, Real):
             raise ValueError(f"perturbation factor must be a number, got {self.factor!r}")
         if not math.isfinite(self.factor):
             raise ValueError(f"perturbation factor must be finite, got {self.factor!r}")
@@ -146,7 +150,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("n", "runs", "master_seed"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 3:
             raise ValueError("selection experiments need at least 3 nodes")
@@ -388,7 +392,7 @@ class RatioStats:
 
 def ratio_stats(report):
     """Median accuracy loss of the runner-up and of the worst pattern, both
-    relative to the per-run best (ratios >= 1)."""
+    relative to the per-run best (ratios >= 1, see ``EmpRanking``)."""
     if report.runner_up_ratios.size == 0:
         return RatioStats(None, None)
     return RatioStats(

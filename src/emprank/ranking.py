@@ -53,7 +53,8 @@ class EmpRanking:
     Near-ties (relative gap below 1e-12) are ordered by canonical enumeration
     index so the ranking is deterministic.  Patterns whose information matrix
     could not be inverted are kept aside in ``non_informative`` as
-    (pattern, canonical index, rcond).
+    (pattern, canonical index, rcond).  The ratios to the best pattern divide
+    trace(P), or under logdet the geometric mean variance (det P)^(1/p).
     """
 
     kind: str
@@ -64,15 +65,17 @@ class EmpRanking:
     def best(self):
         return self.entries[0]
 
+    def _ratio(self, entry):
+        best = self.entries[0]
+        if self.kind == "logdet":
+            return float(np.exp((entry.value - best.value) / len(best.info.M)))
+        return entry.value / best.value
+
     def runner_up_ratio(self):
-        if len(self.entries) < 2:
-            return None
-        return self.entries[1].value / self.entries[0].value
+        return self._ratio(self.entries[1]) if len(self.entries) > 1 else None
 
     def worst_ratio(self):
-        if len(self.entries) < 2:
-            return None
-        return self.entries[-1].value / self.entries[0].value
+        return self._ratio(self.entries[-1]) if len(self.entries) > 1 else None
 
 
 def rank_emps(net, profile, kind="trace"):

@@ -355,7 +355,7 @@ def test_criterion_11_engine_oracle():
             if i >= j:
                 continue
             stack = gradient_stack(net, i, j)
-            for k, filters in stack.blocks.items():
+            for k, filters in stack.items():
                 for m, f in enumerate(filters):
                     psi[offsets[k] + m] += lfilter(*f, excite[i])
         estimate += psi[:, cut:] @ psi[:, cut:].T / (n_samples - cut) / emp.lam[j]

@@ -86,8 +86,8 @@ class TestPathGain:
         g = [realize(m) for m in net.modules]
         ref = series(series(g[0], g[1]), g[2])
         got = net.path_gain(1, 4)
-        h_ref, _ = impulse_response(ref, max_len=2048)
-        h_got, _ = impulse_response(got, max_len=2048)
+        h_ref, _ = impulse_response(ref)
+        h_got, _ = impulse_response(got)
         n = max(h_ref.size, h_got.size)
         np.testing.assert_allclose(
             np.pad(h_got, (0, n - h_got.size)),
@@ -143,11 +143,8 @@ class TestTransferMatrix:
                     np.testing.assert_array_equal(got, want)
 
 
-def test_path_gain_memoized(rng):
+def test_path_gain_read_only(rng):
     net = random_network(rng, 6)
-    first = net.path_gain(1, 6)
-    again = net.path_gain(1, 6)
-    assert first is again
-    for coefficients in first:
+    for coefficients in net.path_gain(1, 6):
         with pytest.raises(ValueError):
             coefficients[0] = 2.0

@@ -264,8 +264,7 @@ class TestValidate:
         assert payload["failed_fits"] == 0
         assert payload["rel_deviation"] < 0.6
 
-    def test_env_seed_fallback(self, capsys, fir2, monkeypatch):
-        monkeypatch.setenv("EMP_RANK_SEED", "77")
+    def test_seed_defaults_to_zero(self, capsys, fir2):
         code = main(
             [
                 "validate",
@@ -280,25 +279,7 @@ class TestValidate:
             ]
         )
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 77
-
-    def test_bad_env_seed(self, capsys, fir2, monkeypatch):
-        monkeypatch.setenv("EMP_RANK_SEED", "abc")
-        code = main(
-            [
-                "validate",
-                "--network",
-                str(fir2),
-                "--emp",
-                "B=1;C=2",
-                "-N",
-                "600",
-                "--replications",
-                "40",
-            ]
-        )
-        assert code == 2
-        assert "EMP_RANK_SEED" in capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
 
     def test_replication_floor_rejected(self, fir2):
         with pytest.raises(SystemExit) as exc:
@@ -407,8 +388,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "defaults, message",
-        [({"lambda": 0}, "must be positive"), ({"sigma2": "abc"}, "bad defaults")],
-        ids=["zero-lambda", "non-numeric-sigma2"],
+        [({"lambda": 0}, "must be positive"), ({"sigma2": "abc"}, "bad defaults"), ({"sigma2": True}, "bad defaults")],
+        ids=["zero-lambda", "non-numeric-sigma2", "boolean-sigma2"],
     )
     def test_bad_defaults(self, tmp_path, capsys, defaults, message):
         path = tmp_path / "defaults.json"
@@ -458,13 +439,29 @@ class TestErrorPaths:
             ({"module": 1, "param": 1.7}, "perturbation param must be an integer, got 1.7"),
             ({"module": 1, "factor": "ten"}, "perturbation factor must be a number, got 'ten'"),
             ({"module": 1, "factor": float("inf")}, "perturbation factor must be finite, got inf"),
+            ({"module": True}, "perturbation module must be an integer, got True"),
+            ({"module": 1, "param": False}, "perturbation param must be an integer, got False"),
+            ({"module": 1, "factor": True}, "perturbation factor must be a number, got True"),
         ],
-        ids=["module", "param", "factor", "infinite-factor"],
+        ids=["module", "param", "factor", "infinite-factor", "boolean-module", "boolean-param", "boolean-factor"],
     )
     def test_malformed_perturbation(self, tmp_path, capsys, perturbation, message):
         cfg = {"n": 3, "family": "first_order", "runs": 2, "perturbation": perturbation}
         err = self.scenario_error(tmp_path, capsys, cfg)
         assert f"configuration error: bad scenario config: {message}" in err
+
+    @pytest.mark.parametrize("field, value", [("runs", True), ("master_seed", False)])
+    def test_boolean_count(self, tmp_path, capsys, field, value):
+        cfg = {"n": 3, "family": "first_order", "runs": 2, field: value}
+        err = self.scenario_error(tmp_path, capsys, cfg)
+        assert f"configuration error: bad scenario config: {field} must be an integer, got {value}" in err
+        assert not (tmp_path / "scenario_report.json").exists()
+
+    def test_boolean_theta(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"modules": [{"family": "first_order", "theta": [True, 0.5]}]}))
+        assert main(["rank", "--network", str(path)]) == 2
+        assert "configuration error: bad module list" in capsys.readouterr().err
 
     def test_non_boolean_identical(self, tmp_path, capsys):
         cfg = {"n": 3, "family": "first_order", "runs": 2, "identical": "yes"}

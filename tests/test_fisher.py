@@ -64,20 +64,20 @@ class TestWhiteCorrelation:
 class TestGradientStack:
     def test_empty_when_source_not_before_sink(self, rng):
         net = random_network(rng, 4)
-        assert gradient_stack(net, 3, 3).blocks == {}
-        assert gradient_stack(net, 3, 2).blocks == {}
+        assert gradient_stack(net, 3, 3) == {}
+        assert gradient_stack(net, 3, 2) == {}
 
     def test_adjacent_pair_is_module_jacobian(self):
         net = CascadeNetwork([ParamModule("fir", (0.7, -0.1))] * 2)
         st = gradient_stack(net, 1, 2)
-        assert set(st.blocks) == {1}
-        h0, _ = white_correlation(list(st.blocks[1]), delays(0, 1), 1.0)
+        assert set(st) == {1}
+        h0, _ = white_correlation(list(st[1]), delays(0, 1), 1.0)
         np.testing.assert_allclose(h0, [1.0, 0.0], atol=1e-14)
 
     def test_span_covers_path_modules(self, rng):
         net = random_network(rng, 5)
         st = gradient_stack(net, 2, 5)
-        assert set(st.blocks) == {2, 3, 4}
+        assert set(st) == {2, 3, 4}
 
     def test_scalar_fir_entries(self):
         # single-tap modules g, h: pair (1,3) entries are the opposite
@@ -87,8 +87,8 @@ class TestGradientStack:
         )
         st = gradient_stack(net, 1, 3)
         probe = [UNIT]
-        e1 = white_correlation(list(st.blocks[1]), probe, 1.0)
-        e2 = white_correlation(list(st.blocks[2]), probe, 1.0)
+        e1 = white_correlation(list(st[1]), probe, 1.0)
+        e2 = white_correlation(list(st[2]), probe, 1.0)
         assert e1[0, 0] == pytest.approx(-1.2)
         assert e2[0, 0] == pytest.approx(0.8)
 
@@ -190,7 +190,7 @@ class TestInformationMatrix:
         for i in sorted(emp.excited):
             r = rng.normal(0, 1.0, n)
             st = gradient_stack(net, i, 3)
-            for k, filters in st.blocks.items():
+            for k, filters in st.items():
                 for m, f in enumerate(filters):
                     psi[offs[k] + m] += lfilter(*f, r)
         est = psi[:, 500:] @ psi[:, 500:].T / (n - 500) / emp.lam[3]

@@ -20,6 +20,7 @@ from emprank import (
     enumerate_minimal,
     information_matrix,
     pattern_label,
+    rank_emps,
     ratio_stats,
     realize,
     run_scenario,
@@ -108,7 +109,9 @@ class TestScenarioConfig:
             self.good(criterion="bogus")
         with pytest.raises(ValueError, match="module"):
             self.good(perturbation=Perturbation(module=4))
-        for name, value in (("n", 3.5), ("runs", 2.0), ("master_seed", "1")):
+        for name, value in (
+            ("n", 3.5), ("runs", 2.0), ("master_seed", "1"), ("n", True), ("runs", True), ("master_seed", False)
+        ):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 self.good(**{name: value})
         with pytest.raises(ValueError, match="master_seed"):
@@ -122,6 +125,9 @@ class TestScenarioConfig:
             ({"module": "1"}, "perturbation module must be an integer, got '1'"),
             ({"module": 1, "factor": "10"}, "perturbation factor must be a number, got '10'"),
             ({"module": 1, "factor": float("inf")}, "perturbation factor must be finite, got inf"),
+            ({"module": True}, "perturbation module must be an integer, got True"),
+            ({"module": 1, "param": False}, "perturbation param must be an integer, got False"),
+            ({"module": 1, "factor": True}, "perturbation factor must be a number, got True"),
         ):
             with pytest.raises(ValueError, match=message):
                 ScenarioConfig.from_dict(dict(base, perturbation=pert))
@@ -204,6 +210,30 @@ class TestRunScenario:
         assert np.all(report.worst_ratios >= report.runner_up_ratios - 1e-12)
         stats = ratio_stats(report)
         assert stats.median_worst >= stats.median_runner_up >= 1.0
+
+    @pytest.mark.parametrize("mode", ["equal", "random"])
+    def test_logdet_ratios(self, mode):
+        """Under logdet a ratio is the geometric-mean variance ratio
+        exp((logdet P - logdet P_best) / p) of the run's own ranking, at
+        least 1 like a trace ratio."""
+        cfg = ScenarioConfig(
+            n=4, family="first_order", runs=40, variance_mode=mode, criterion="logdet", master_seed=3
+        )
+        runner_up, worst = [], []
+        for r in range(cfg.runs):
+            rng = np.random.default_rng([cfg.master_seed, r])
+            modules = montecarlo._draw_modules(cfg, rng)
+            ranking = rank_emps(CascadeNetwork(modules), montecarlo._draw_profile(cfg, rng), "logdet")
+            values = [e.value for e in ranking.entries]
+            p = sum(m.n_params for m in modules)
+            runner_up.append(np.exp((values[1] - values[0]) / p))
+            worst.append(np.exp((values[-1] - values[0]) / p))
+        report = run_scenario(cfg)
+        assert report.n_rejected_runs == 0
+        np.testing.assert_array_equal(report.runner_up_ratios, runner_up)
+        np.testing.assert_array_equal(report.worst_ratios, worst)
+        assert np.all(report.runner_up_ratios >= 1.0 - 1e-12)
+        assert np.all(report.worst_ratios >= report.runner_up_ratios)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_deterministic_and_worker_invariant(self, workers):

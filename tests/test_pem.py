@@ -172,7 +172,7 @@ class TestLinearize:
             psi = np.zeros((data.n_samples, offsets[-1]))
             for i in sorted(r for r in data.r if r <= j):
                 yhat += lfilter(*net.path_gain(i, j), data.r[i])
-                for k, filters in gradient_stack(net, i, j).blocks.items():
+                for k, filters in gradient_stack(net, i, j).items():
                     for m, f in enumerate(filters):
                         psi[:, offsets[k - 1] + m] += lfilter(*f, data.r[i])
             weight = 1.0 / np.sqrt(emp.lam[j])
