@@ -14,18 +14,19 @@ frequencies of an N-point FFT grid, with the paths as prefix products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .lti import (
     FIR,
+    FIRST_ORDER,
     STABILITY_MARGIN,
     ParamModule,
     UnstableFilterError,
     module_responses,
-    pole_radius,
     realize,
     series,
 )
@@ -52,11 +53,16 @@ class PairGrams:
     n_fft: int
 
 
-@lru_cache(maxsize=1024)
 def _radius(module):
-    """Pole radius of a module, cached like its filter: fits that start from
-    the same modules rebuild their network many times."""
-    return pole_radius(realize(module))
+    """Largest pole magnitude of a module in closed form: |a| for b/(q + a);
+    for q^2 + t3 q + t4, sqrt(t4) (complex pair) or (|t3| + sqrt(t3^2 - 4 t4))/2."""
+    t = module.theta
+    if module.family == FIR:
+        return 0.0
+    if module.family == FIRST_ORDER:
+        return abs(t[0])
+    disc = t[2] * t[2] - 4.0 * t[3]
+    return math.sqrt(t[3]) if disc < 0 else (abs(t[2]) + math.sqrt(disc)) / 2
 
 
 def _grid(n_fft):
@@ -66,12 +72,16 @@ def _grid(n_fft):
 def _grid_size(modules, radii):
     """Smallest power-of-two grid on which the slowest response, the rows of
     the slowest module in pair (1, n), has decayed; its first guess covers
-    the FIR parts and the samples the largest pole radius needs."""
+    the FIR parts and the samples the largest pole radius needs.  A chain
+    without poles (all FIR) ends there: its responses are polynomials of
+    degree at most its parameter count, held by the grid without wrap-around."""
     slow = int(np.argmax(radii))
     decay = np.log(GRID_TAIL) / np.log(radii[slow]) if radii[slow] > 0 else 0.0
     n_fft = 64
     while n_fft < sum(2 * m.n_params for m in modules) + 4.0 / 3.0 * decay:
         n_fft *= 2
+    if radii[slow] == 0:
+        return n_fft
     while n_fft <= MAX_GRID:
         x = _grid(n_fft)
         rows = module_responses(modules[slow], x)[1]

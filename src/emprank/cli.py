@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .cascade import CascadeNetwork
-from .emp import Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
+from .emp import MAX_NODES, Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
 from .fisher import CRITERIA, NonInformativeError, information_matrix
 from .lti import ParamModule, UnstableFilterError
 from .montecarlo import ScenarioConfig, ratio_stats, run_scenario
@@ -63,6 +63,8 @@ def load_network(path):
         raise ConfigError(f"bad module list in {path}: {exc}") from exc
     if not modules:
         raise ConfigError(f"network file {path} lists no modules; a cascade needs at least one")
+    if len(modules) + 1 > MAX_NODES:
+        raise ConfigError(f"network file {path} has {len(modules) + 1} nodes; at most {MAX_NODES} are supported")
     if "n" in spec and spec["n"] != len(modules) + 1:
         raise ConfigError(
             f"network file says n={spec['n']} but lists {len(modules)} modules"
@@ -368,8 +370,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 2:
-        parser.error("-n must be at least 2")
+    if getattr(args, "n", None) is not None and not 2 <= args.n <= MAX_NODES:
+        parser.error(f"-n must be at least 2 and at most {MAX_NODES}")
     if getattr(args, "replications", None) is not None and args.replications < 30:
         parser.error("--replications must be at least 30")
     if getattr(args, "threads", None) is not None and args.threads < 1:

@@ -200,13 +200,18 @@ def param_jacobian(module):
 def module_responses(module, x):
     """Response G = B/A of a module and of its ``param_jacobian`` filters (one
     row per parameter) at unit delays x = e^{-iw}: q^-m/A for a numerator and
-    -q^-m G/A for a denominator coefficient, never squaring out A."""
-    b, a = realize(module)
-    den = np.polyval(a[::-1], x)
-    g = np.polyval(b[::-1], x) / den
+    -q^-m G/A for a denominator coefficient, never squaring out A.  FIR rows
+    are the delays x^m by cumulative product and G = theta . rows; rational
+    families evaluate B and A by Horner on theta, as ``np.polyval`` does."""
+    t = module.theta
     if module.family == FIR:
-        return g, np.array([x**m for m in range(module.n_params)])
+        rows = np.cumprod([np.ones_like(x)] + [x] * (len(t) - 1), axis=0)
+        return np.asarray(t) @ rows, rows
     if module.family == FIRST_ORDER:
+        den = t[0] * x + 1.0
+        g = t[1] * x / den
         return g, np.array([-g * x / den, x / den])
+    den = (t[3] * x + t[2]) * x + 1.0
+    g = (t[1] * x + t[0]) * x / den
     x2 = x * x
     return g, np.array([x / den, x2 / den, -g * x / den, -g * x2 / den])

@@ -27,7 +27,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .cascade import CascadeNetwork
-from .emp import VarianceProfile, enumerate_minimal, pattern_label
+from .emp import MAX_NODES, VarianceProfile, enumerate_minimal, pattern_label
 from .fisher import CRITERIA, NonInformativeError
 from .lti import FAMILY_SIZES, FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
 from .ranking import rank_emps
@@ -64,15 +64,20 @@ def sample_fir_butterworth(rng):
     A second-order lowpass Butterworth is designed by bilinear transform
     (cutoff prewarped) at 1 Hz sampling with cutoff drawn uniformly from
     [0.1, 0.4] cycles/sample, and its impulse response is kept up to the last
-    tap of magnitude at least 1e-4.
+    tap of magnitude at least 1e-4.  In closed form, with K = tan(pi cutoff)
+    and c = 1 + sqrt(2) K + K^2, the filter is K^2/c (1, 2, 1) over
+    (1, 2(K^2 - 1)/c, (1 - sqrt(2) K + K^2)/c), and the all-pole response
+    r^n sin((n+1) phi)/sin phi of its poles r e^{+-i phi} is convolved with
+    that numerator over 512 samples.
     """
-    from scipy.signal import butter, lfilter
-
     cutoff = rng.uniform(0.1, 0.4)
-    b, a = butter(2, cutoff, btype="low", fs=1.0)
-    x = np.zeros(512)
-    x[0] = 1.0
-    h = lfilter(b, a, x)
+    k = math.tan(math.pi * cutoff)
+    c = 1.0 + math.sqrt(2.0) * k + k * k
+    b0 = k * k / c
+    r = math.sqrt((1.0 - math.sqrt(2.0) * k + k * k) / c)  # sqrt(a2)
+    phi = math.acos((1.0 - k * k) / (c * r))  # cos phi = -a1 / (2r)
+    n = np.arange(512)
+    h = np.convolve(r**n * np.sin((n + 1) * phi) / math.sin(phi), [b0, 2 * b0, b0])[:512]
     above = np.flatnonzero(np.abs(h) >= FIR_TAP_CUTOFF)
     taps = h[: int(above[-1]) + 1] if above.size else h[:1]
     return ParamModule(FIR, tuple(taps))
@@ -152,8 +157,8 @@ class ScenarioConfig:
         for name in ("n", "runs", "master_seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 3:
-            raise ValueError("selection experiments need at least 3 nodes")
+        if not 3 <= self.n <= MAX_NODES:
+            raise ValueError(f"selection experiments need at least 3 nodes and at most {MAX_NODES}, got {self.n}")
         if self.family not in MODULE_FAMILIES:
             raise ValueError(f"family must be one of {MODULE_FAMILIES}, got {self.family!r}")
         if not isinstance(self.identical, bool):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -482,6 +483,26 @@ class TestErrorPaths:
             main(["enumerate", "-n", "1"])
         assert exc.value.code == 2
         assert "-n must be at least 2" in capsys.readouterr().err
+
+    def test_enumerate_too_many_nodes(self, capsys):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "-n", "40"])
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.code == 2
+        assert "-n must be at least 2 and at most 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rank", "validate"])
+    def test_network_beyond_node_limit(self, tmp_path, capsys, command):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"modules": [{"family": "first_order", "theta": [0.5, 1.0]}] * 16}))
+        argv = [command, "--network", str(path)] + (["--emp", "B=1;C=17"] if command == "validate" else [])
+        assert main(argv) == 2
+        assert "has 17 nodes; at most 16 are supported" in capsys.readouterr().err
+
+    def test_scenario_beyond_node_limit(self, tmp_path, capsys):
+        err = self.scenario_error(tmp_path, capsys, {"n": 40, "family": "first_order", "runs": 2})
+        assert "bad scenario config: selection experiments need at least 3 nodes and at most 16, got 40" in err
 
     def test_slow_decaying_module(self, tmp_path):
         # pole radius 1 - 1e-5: the Grams would need a grid past 2^20 points

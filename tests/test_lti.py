@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emprank import (
@@ -12,7 +12,9 @@ from emprank import (
     param_jacobian,
     realize,
 )
+from emprank.cascade import _radius
 from emprank.lti import STABILITY_MARGIN, impulse_response, module_responses, pole_radius, series
+from emprank.montecarlo import sample_fir_butterworth, sample_first_order, sample_second_order
 from conftest import filt
 
 MODULES = [
@@ -81,6 +83,58 @@ class TestStability:
         assert pole_radius(filt([5.0, 2.0, 1.0], [1.0, 0.0, 0.0])) < STABILITY_MARGIN
 
 
+def _second_order(t3, t4):
+    return ParamModule("second_order", (1.0, 0.3, t3, t4))
+
+
+POLES = st.floats(-1.5, 1.5)
+
+
+class TestClosedFormRadius:
+    """The network's closed-form module pole radius against known poles and
+    against the companion-matrix roots of ``pole_radius``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(1e-3, 1.5), phi=st.floats(0.01, np.pi - 0.01))
+    def test_complex_pair(self, r, phi):
+        assert abs(_radius(_second_order(-2 * r * np.cos(phi), r * r)) - r) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(p1=POLES, p2=POLES)
+    def test_two_real_poles(self, p1, p2):
+        assume(abs(p1 - p2) >= 0.01)  # zero and negative poles included
+        assert abs(_radius(_second_order(-(p1 + p2), p1 * p2)) - max(abs(p1), abs(p2))) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=POLES, gap=st.floats(0.0, 0.01))
+    def test_near_double_real_pole(self, p, gap):
+        # the coefficients fix a double root only to about sqrt(eps)
+        p2 = p + gap
+        assert abs(_radius(_second_order(-(p + p2), p * p2)) - max(abs(p), abs(p2))) <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=POLES)
+    def test_first_order(self, a):
+        assert _radius(ParamModule("first_order", (a, 1.0))) == abs(a)
+
+    def test_fir(self):
+        assert _radius(ParamModule("fir", (0.5, -0.2, 0.1))) == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), factor=st.sampled_from([1.0, 10.0, -10.0]))
+    def test_stability_verdict_matches_roots(self, seed, factor):
+        """Every sampler draw, also with one parameter scaled as a Monte Carlo
+        perturbation does, gets the verdict of pole_radius(realize(m))."""
+        rng = np.random.default_rng(seed)
+        for sampler in (sample_fir_butterworth, sample_first_order, sample_second_order):
+            module = sampler(rng)
+            for k in range(module.n_params):
+                theta = list(module.theta)
+                theta[k] *= factor
+                m = ParamModule(module.family, theta)
+                assert (_radius(m) < STABILITY_MARGIN) == (pole_radius(realize(m)) < STABILITY_MARGIN)
+
+
 class TestModuleResponses:
     @pytest.mark.parametrize(
         "module", MODULES + [ParamModule("first_order", (0.4, 0.0))], ids=repr
@@ -101,6 +155,8 @@ class TestModuleResponses:
         assert np.all(np.abs(rows - ref) <= 1e-12 * scale)
         g_ref = response(realize(module))
         assert np.all(np.abs(g - g_ref) <= 1e-12 * np.abs(g_ref).max())
+        if module.family != "fir":  # Horner on theta takes np.polyval's steps
+            np.testing.assert_array_equal(g, g_ref)
 
 
 class TestSeries:

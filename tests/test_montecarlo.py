@@ -10,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
+from scipy.signal import butter, lfilter
 
 from emprank import (
     CascadeNetwork,
@@ -61,6 +61,24 @@ class TestButterworthSampler:
         m = sample_fir_butterworth(FixedCutoff(0.25))
         assert abs(m.theta[-1]) >= 1e-4
 
+    @pytest.mark.parametrize("source", ["grid", "criterion-7"])
+    def test_taps_match_scipy_design(self, source):
+        """The closed-form design against scipy's butter + lfilter, on a grid of
+        cutoffs and on the first draw of runs 0..999 of criterion 7 (which
+        shares criterion 9's master seed): same tap count, and every tap
+        within a few ulps of the largest."""
+        if source == "grid":
+            cutoffs = np.linspace(0.1, 0.4, 1001)
+        else:
+            cutoffs = [np.random.default_rng([CRITERION_9_SEED, r]).uniform(0.1, 0.4) for r in range(1000)]
+        for cutoff in cutoffs:
+            taps = np.array(sample_fir_butterworth(FixedCutoff(cutoff)).theta)
+            b, a = butter(2, cutoff, btype="low", fs=1.0)
+            h = lfilter(b, a, np.eye(1, 512)[0])
+            ref = h[: np.flatnonzero(np.abs(h) >= 1e-4)[-1] + 1]
+            assert taps.size == ref.size, cutoff
+            assert np.max(np.abs(taps - ref)) <= 4e-15 * np.max(np.abs(ref)), cutoff
+
     def test_random_draws_stable_with_leading_weight(self, rng):
         for _ in range(50):
             m = sample_fir_butterworth(rng)
@@ -99,6 +117,8 @@ class TestScenarioConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="3 nodes"):
             self.good(n=2)
+        with pytest.raises(ValueError, match="at most 16, got 40"):
+            self.good(n=40)
         with pytest.raises(ValueError, match="family"):
             self.good(family="arma")
         with pytest.raises(ValueError, match="runs"):
@@ -315,6 +335,24 @@ def test_worker_blas_runs_one_thread():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_monte_carlo_path_leaves_out_scipy_signal():
+    """Module sampling and ranking run on numpy alone: serial FIR-Butterworth
+    and second-order scenarios import no scipy.signal, so neither do the
+    worker processes of ``emprank montecarlo``, which run the same code."""
+    probe = (
+        "import sys; from emprank import ScenarioConfig, run_scenario; "
+        "run_scenario(ScenarioConfig(n=4, family='fir_butterworth', runs=4, identical=True)); "
+        "run_scenario(ScenarioConfig(n=4, family='second_order', runs=4)); "
+        "print('scipy.signal' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def worker_processes():
