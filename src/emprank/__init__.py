@@ -15,7 +15,6 @@ from .emp import (
     VarianceProfile,
     direct_modules,
     enumerate_minimal,
-    mirror,
     pattern_label,
 )
 from .fisher import (
@@ -35,7 +34,6 @@ from .montecarlo import (
     Perturbation,
     ScenarioConfig,
     ScenarioReport,
-    ratio_stats,
     run_scenario,
 )
 from .pem import (
@@ -83,14 +81,12 @@ __all__ = [
     "empirical_covariance",
     "enumerate_minimal",
     "information_matrix",
-    "mirror",
     "mirror_permutation",
     "module_accuracy_report",
     "param_jacobian",
     "pattern_label",
     "pem_fit",
     "rank_emps",
-    "ratio_stats",
     "realize",
     "run_scenario",
     "simulate",

@@ -28,8 +28,8 @@ from .cascade import CascadeNetwork
 from .emp import MAX_NODES, Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
 from .fisher import CRITERIA, NonInformativeError, information_matrix
 from .lti import ParamModule, UnstableFilterError
-from .montecarlo import ScenarioConfig, ratio_stats, run_scenario
-from .pem import TRANSIENT, empirical_covariance
+from .montecarlo import ScenarioConfig, run_scenario
+from .pem import MIN_REPLICATIONS, TRANSIENT, empirical_covariance
 from .ranking import covariance_block_identities, rank_emps, verify_mirror
 
 CONFIG_ERROR = 2
@@ -48,13 +48,17 @@ def _numbers(values):
     return values
 
 
-def load_network(path):
+def _read_json(path, what):
     try:
-        spec = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read network file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"network file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep for the parser
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_network(path):
+    spec = _read_json(path, "network file")
     try:
         modules = [
             ParamModule(m["family"], _numbers(m["theta"])) for m in spec["modules"]
@@ -255,12 +259,7 @@ def cmd_rank(args):
 
 def cmd_montecarlo(args):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario config is not valid JSON: {exc}") from exc
+    raw = _read_json(args.config, "scenario config")
     if not isinstance(raw, dict):
         raise ConfigError(f"scenario config must be a JSON object, got {type(raw).__name__}")
     if args.runs is not None:
@@ -281,7 +280,6 @@ def cmd_montecarlo(args):
     csv_path, json_path = _write_outputs(
         args.out, "scenario_report", header, rows, payload, "montecarlo", cfg.to_dict(), cfg.master_seed
     )
-    stats = ratio_stats(report)
     if report.best_index is None:
         print(f"0 informative runs; all {report.n_rejected_runs} runs rejected")
     else:
@@ -290,11 +288,8 @@ def cmd_montecarlo(args):
             f"{report.n_informative_runs} informative runs; best {pattern_label(best)} "
             f"({report.percentages[report.best_index]:.2f}%)"
         )
-    if stats.median_runner_up is not None:
-        print(
-            f"median ratios: runner-up {stats.median_runner_up:.3f}, "
-            f"worst {stats.median_worst:.3f}"
-        )
+    if report.median_runner_up is not None:
+        print(f"median ratios: runner-up {report.median_runner_up:.3f}, worst {report.median_worst:.3f}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -372,8 +367,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is not None and not 2 <= args.n <= MAX_NODES:
         parser.error(f"-n must be at least 2 and at most {MAX_NODES}")
-    if getattr(args, "replications", None) is not None and args.replications < 30:
-        parser.error("--replications must be at least 30")
+    if getattr(args, "replications", None) is not None and args.replications < MIN_REPLICATIONS:
+        parser.error(f"--replications must be at least {MIN_REPLICATIONS}")
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
     if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT:

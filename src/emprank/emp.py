@@ -22,7 +22,6 @@ __all__ = [
     "VarianceProfile",
     "direct_modules",
     "enumerate_minimal",
-    "mirror",
     "mirror_pattern",
     "pattern_label",
 ]
@@ -169,16 +168,6 @@ def mirror_pattern(pattern, n):
     if max(b | c) > n:
         raise ValueError(f"pattern references nodes beyond {n}")
     return frozenset(n - j + 1 for j in c), frozenset(n - i + 1 for i in b)
-
-
-def mirror(emp, n):
-    """Reflect a pattern with its variances (see ``mirror_pattern``): each value
-    travels with its node, so sigma2 at node j becomes lam at node n - j + 1."""
-    return Emp(
-        *mirror_pattern(emp.pattern, n),
-        {n - j + 1: v for j, v in emp.lam.items()},
-        {n - i + 1: v for i, v in emp.sigma2.items()},
-    )
 
 
 def direct_modules(pattern):

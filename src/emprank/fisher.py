@@ -104,21 +104,24 @@ def information_batch(net, sigma2, lam):
     module docstring).  Parameters are ordered module-major (all of module 1,
     then module 2, ...).  Only excited/measured pairs with i < j contribute.
     Each assembled matrix is inverted only when its eigenvalue ratio clears
-    RCOND_THRESHOLD; otherwise its result reports a non-informative pattern
-    with P=None.  Returns one InfoResult per pattern, in order.
+    RCOND_THRESHOLD; otherwise, and when gains too large for float64 made it
+    overflow, its result reports a non-informative pattern with P=None.
+    Returns one InfoResult per pattern, in order.
     """
     slices = net.param_slices
     # einsum's fixed summation order keeps each M independent of the batch,
     # and exactly symmetric, since the pair Grams are
-    M = np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
-    w, v = np.linalg.eigh(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite M below
+        M = np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    w, v = np.linalg.eigh(M if finite.all() else np.where(finite[:, None, None], M, 0.0))
     top = w[:, -1]
     rcond = np.divide(np.maximum(w[:, 0], 0.0), top, out=np.zeros_like(top), where=top > 0)
     ok = rcond > RCOND_THRESHOLD
-    with np.errstate(divide="ignore", invalid="ignore"):  # only where not ok
-        P = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
-        trace = np.sum(1.0 / w, axis=1).tolist()
-        logdet = (-np.sum(np.log(w), axis=1)).tolist()
+    w = np.where(ok[:, None], w, 1.0)  # results of the other patterns are dropped
+    P = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
+    trace = np.sum(1.0 / w, axis=1).tolist()
+    logdet = (-np.sum(np.log(w), axis=1)).tolist()
     P = 0.5 * (P + P.transpose(0, 2, 1))
     traces = np.add.reduceat(np.diagonal(P, axis1=1, axis2=2), [s.start for s in slices], axis=1)
     rcond = rcond.tolist()

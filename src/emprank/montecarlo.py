@@ -20,7 +20,6 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
@@ -36,10 +35,8 @@ __all__ = [
     "FIR_BUTTERWORTH",
     "MODULE_FAMILIES",
     "Perturbation",
-    "RatioStats",
     "ScenarioConfig",
     "ScenarioReport",
-    "ratio_stats",
     "run_scenario",
     "sample_fir_butterworth",
     "sample_first_order",
@@ -52,6 +49,7 @@ FIR_BUTTERWORTH = "fir_butterworth"
 MODULE_FAMILIES = (FIR_BUTTERWORTH, FIRST_ORDER, SECOND_ORDER)
 
 FIR_TAP_CUTOFF = 1e-4
+FIR_MIN_TAPS = 11  # fewest taps sample_fir_butterworth keeps at any cutoff (cutoffs 0.2007-0.2834)
 EQUAL_SIGMA2 = 1.0
 EQUAL_LAMBDA = 0.01
 RANDOM_LOW = 0.001
@@ -177,13 +175,11 @@ class ScenarioConfig:
                 raise ValueError(f"perturbation module {p.module} outside 1..{self.n - 1}")
             if p.param < 0:
                 raise ValueError("perturbation parameter index must be >= 0")
-            # fir_butterworth tap counts vary per draw; _draw_modules checks those
-            n_params = FAMILY_SIZES.get(self.family)
-            if n_params is not None and p.param >= n_params:
-                raise ValueError(
-                    f"perturbation parameter {p.param} outside {self.family} modules "
-                    f"with {n_params} parameters"
-                )
+            # fir_butterworth tap counts vary per draw; every draw has FIR_MIN_TAPS
+            n_params = FAMILY_SIZES.get(self.family, FIR_MIN_TAPS)
+            if p.param >= n_params:
+                size = f"{n_params} parameters" if self.family in FAMILY_SIZES else f"at least {n_params} taps"
+                raise ValueError(f"perturbation parameter {p.param} outside {self.family} modules with {size}")
 
     def to_dict(self):
         d = asdict(self)
@@ -223,11 +219,6 @@ def _draw_modules(cfg, rng):
     if cfg.perturbation is not None:
         p = cfg.perturbation
         target = modules[p.module - 1]
-        if p.param >= target.n_params:
-            raise ValueError(
-                f"perturbation parameter {p.param} outside module {p.module} "
-                f"with {target.n_params} parameters"
-            )
         theta = list(target.theta)
         theta[p.param] *= p.factor
         modules[p.module - 1] = ParamModule(target.family, tuple(theta))
@@ -297,8 +288,18 @@ class ScenarioReport:
         """Index of the most frequent winner; None when no run was informative."""
         return int(np.argmax(self.counts)) if self.n_informative_runs else None
 
+    @property
+    def median_runner_up(self):
+        """Median accuracy loss of the runner-up relative to the per-run best
+        (ratios >= 1, see ``EmpRanking``); None when no run ranked two patterns."""
+        return float(np.median(self.runner_up_ratios)) if self.runner_up_ratios.size else None
+
+    @property
+    def median_worst(self):
+        """Median accuracy loss of the worst pattern, as ``median_runner_up``."""
+        return float(np.median(self.worst_ratios)) if self.worst_ratios.size else None
+
     def to_dict(self):
-        stats = ratio_stats(self)
         return {
             "config": self.config.to_dict(),
             "patterns": [pattern_label(p) for p in self.patterns],
@@ -307,8 +308,8 @@ class ScenarioReport:
             "n_informative_runs": self.n_informative_runs,
             "n_rejected_runs": self.n_rejected_runs,
             "n_noninformative_emps": self.n_noninformative_emps,
-            "median_runner_up_ratio": stats.median_runner_up,
-            "median_worst_ratio": stats.median_worst,
+            "median_runner_up_ratio": self.median_runner_up,
+            "median_worst_ratio": self.median_worst,
         }
 
 
@@ -330,14 +331,6 @@ def _worker_pool(workers):
         return _pool[1]
 
 
-def _drop_pool(pool):
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[1] is pool:
-            _pool = None
-    pool.shutdown(wait=True)
-
-
 def run_scenario(cfg, workers=1):
     """Execute every run of a scenario and aggregate selection frequencies.
 
@@ -354,16 +347,12 @@ def run_scenario(cfg, workers=1):
     pool = _worker_pool(workers) if workers > 1 else None
     outcomes = []
     t0 = time.perf_counter()
-    try:
-        for done, part in enumerate((pool.map if pool else map)(_run_chunk, chunks), start=1):
-            outcomes.extend(part)
-            log.info(
-                "scenario progress: %d/%d chunks, %d/%d runs, %.1f runs/s",
-                done, len(chunks), len(outcomes), cfg.runs, len(outcomes) / (time.perf_counter() - t0),
-            )
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        raise
+    for done, part in enumerate((pool.map if pool else map)(_run_chunk, chunks), start=1):
+        outcomes.extend(part)
+        log.info(
+            "scenario progress: %d/%d chunks, %d/%d runs, %.1f runs/s",
+            done, len(chunks), len(outcomes), cfg.runs, len(outcomes) / (time.perf_counter() - t0),
+        )
     counts = np.zeros(len(patterns), dtype=int)
     runner, worst = [], []
     rejected = 0
@@ -386,21 +375,4 @@ def run_scenario(cfg, workers=1):
         n_noninformative_emps=dead_emps,
         runner_up_ratios=np.asarray(runner),
         worst_ratios=np.asarray(worst),
-    )
-
-
-@dataclass(frozen=True)
-class RatioStats:
-    median_runner_up: float
-    median_worst: float
-
-
-def ratio_stats(report):
-    """Median accuracy loss of the runner-up and of the worst pattern, both
-    relative to the per-run best (ratios >= 1, see ``EmpRanking``)."""
-    if report.runner_up_ratios.size == 0:
-        return RatioStats(None, None)
-    return RatioStats(
-        float(np.median(report.runner_up_ratios)),
-        float(np.median(report.worst_ratios)),
     )

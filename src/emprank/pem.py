@@ -242,6 +242,8 @@ def empirical_covariance(net, emp, n_samples, replications, seed=0):
     """
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {replications}")
+    if n_samples <= TRANSIENT:
+        raise ValueError(f"need more than {TRANSIENT} samples (the transient cut), got {n_samples}")
     theory = criterion(information_matrix(net, emp), "trace")
     truth = _flatten(net.modules)
     n_eff = n_samples - TRANSIENT

@@ -32,7 +32,6 @@ from emprank import (
     information_matrix,
     param_jacobian,
     pattern_label,
-    ratio_stats,
     run_scenario,
     verify_mirror,
 )
@@ -268,8 +267,8 @@ def test_criterion_08_first_order_winners():
 
 
 def test_criterion_09_ratio_medians():
-    eq = ratio_stats(scenario_report(4, "equal"))
-    rnd = ratio_stats(scenario_report(4, "random"))
+    eq = scenario_report(4, "equal")
+    rnd = scenario_report(4, "random")
     # The worst-ratio centres were 10.23 (equal) and 15.45 (random), which the
     # stated population cannot produce.  An oracle that rebuilds M from
     # finite differences of simulated pair impulse responses (see

@@ -10,7 +10,8 @@ import time
 import pytest
 
 import emprank
-from emprank import Emp, enumerate_minimal, mirror, pattern_label
+from emprank import enumerate_minimal, pattern_label
+from emprank.emp import mirror_pattern
 from emprank.cli import main
 
 SRC = os.path.dirname(os.path.dirname(emprank.__file__))
@@ -95,7 +96,7 @@ class TestEnumerate:
         assert main(["enumerate", "-n", str(n), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["mirror"] for r in rows] == [
-            pattern_label(mirror(Emp.uniform(*p), n).pattern) for p in enumerate_minimal(n)
+            pattern_label(mirror_pattern(p, n)) for p in enumerate_minimal(n)
         ]
 
 
@@ -325,6 +326,13 @@ class TestErrorPaths:
         path.write_text("{not json")
         assert main(["rank", "--network", str(path)]) == 2
 
+    @pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100000], ids=["not-utf8", "too-deep"])
+    def test_unparsable_network_file(self, tmp_path, capsys, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        assert main(["rank", "--network", str(path)]) == 2
+        assert f"configuration error: network file {path} is not valid JSON" in capsys.readouterr().err
+
     def test_node_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "bad_n.json"
         path.write_text(
@@ -427,11 +435,15 @@ class TestErrorPaths:
         err = self.scenario_error(tmp_path, capsys, cfg)
         assert "configuration error: bad scenario config: master_seed must be >= 0" in err
 
-    @pytest.mark.parametrize("family", ["first_order", "second_order"])
-    def test_perturbation_param_beyond_module(self, tmp_path, capsys, family):
-        cfg = {"n": 3, "family": family, "runs": 2, "perturbation": {"module": 1, "param": 7}}
+    @pytest.mark.parametrize(
+        "family, param",
+        [("first_order", 7), ("second_order", 7), ("fir_butterworth", 11)],
+        ids=["first_order", "second_order", "fir_butterworth"],
+    )
+    def test_perturbation_param_beyond_module(self, tmp_path, capsys, family, param):
+        cfg = {"n": 3, "family": family, "runs": 2, "perturbation": {"module": 1, "param": param}}
         err = self.scenario_error(tmp_path, capsys, cfg)
-        assert f"configuration error: bad scenario config: perturbation parameter 7 outside {family}" in err
+        assert f"configuration error: bad scenario config: perturbation parameter {param} outside {family}" in err
 
     @pytest.mark.parametrize(
         "perturbation, message",

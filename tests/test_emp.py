@@ -6,9 +6,9 @@ from emprank import (
     Emp,
     direct_modules,
     enumerate_minimal,
-    mirror,
     pattern_label,
 )
+from emprank.emp import mirror_pattern
 from conftest import is_minimal
 
 
@@ -105,39 +105,20 @@ class TestEnumeration:
 
 class TestMirror:
     def test_four_node_end_patterns_swap(self):
-        emp = make({1}, {2, 3, 4})
-        m = mirror(emp, 4)
-        assert m.pattern == (frozenset({1, 2, 3}), frozenset({4}))
+        assert mirror_pattern(({1}, {2, 3, 4}), 4) == (frozenset({1, 2, 3}), frozenset({4}))
 
     def test_balanced_is_self_mirrored(self):
-        emp = make({1, 2}, {3, 4})
-        assert mirror(emp, 4).pattern == emp.pattern
+        pattern = (frozenset({1, 2}), frozenset({3, 4}))
+        assert mirror_pattern(pattern, 4) == pattern
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_involution(self, n):
-        for b, c in enumerate_minimal(n):
-            emp = Emp.uniform(b, c, sigma2=2.5, lam=0.3)
-            back = mirror(mirror(emp, n), n)
-            assert back.pattern == emp.pattern
-            assert back.sigma2 == emp.sigma2
-            assert back.lam == emp.lam
-
-    def test_variance_transport_by_position(self):
-        emp = Emp(
-            frozenset({1, 2}),
-            frozenset({3}),
-            {1: 1.5, 2: 2.5},
-            {3: 0.1},
-        )
-        m = mirror(emp, 3)
-        # measured node 3 reflects to excited node 1 and carries its value
-        assert m.sigma2 == {1: 0.1}
-        assert m.lam == {2: 2.5, 3: 1.5}
+        for pattern in enumerate_minimal(n):
+            assert mirror_pattern(mirror_pattern(pattern, n), n) == pattern
 
     def test_odd_networks_have_no_fixed_points(self):
-        for b, c in enumerate_minimal(5):
-            emp = Emp.uniform(b, c)
-            assert mirror(emp, 5).pattern != emp.pattern
+        for pattern in enumerate_minimal(5):
+            assert mirror_pattern(pattern, 5) != pattern
 
 
 class TestDirectModules:

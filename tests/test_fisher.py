@@ -177,6 +177,13 @@ class TestInformationMatrix:
         with pytest.raises(NonInformativeError):
             criterion(res, "trace")
 
+    def test_overflowing_gains_non_informative(self):
+        # M overflows float64: set aside like any singular M, no warning, no LinAlgError
+        net = CascadeNetwork([ParamModule("first_order", (0.5, 1e160)), ParamModule("fir", (1.0,))])
+        res = information_matrix(net, emp_of((frozenset({1}), frozenset({2, 3}))))
+        assert not res.informative
+        assert res.rcond == 0.0
+
     def test_monte_carlo_cross_check(self, rng):
         """Desk-scale empirical estimate of M on a 3-node network."""
         net = CascadeNetwork(

@@ -21,7 +21,6 @@ from emprank import (
     information_matrix,
     pattern_label,
     rank_emps,
-    ratio_stats,
     realize,
     run_scenario,
 )
@@ -29,6 +28,7 @@ from emprank import montecarlo
 from emprank.lti import STABILITY_MARGIN, pole_radius
 from emprank.montecarlo import (
     FIR_BUTTERWORTH,
+    FIR_MIN_TAPS,
     sample_fir_butterworth,
     sample_first_order,
     sample_second_order,
@@ -78,6 +78,13 @@ class TestButterworthSampler:
             ref = h[: np.flatnonzero(np.abs(h) >= 1e-4)[-1] + 1]
             assert taps.size == ref.size, cutoff
             assert np.max(np.abs(taps - ref)) <= 4e-15 * np.max(np.abs(ref)), cutoff
+
+    def test_fewest_taps_pinned(self):
+        """FIR_MIN_TAPS is the fewest taps the closed form keeps over the
+        cutoff range: no cutoff of a fine grid keeps fewer, some keep exactly
+        that many."""
+        taps = [len(sample_fir_butterworth(FixedCutoff(c)).theta) for c in np.linspace(0.1, 0.4, 30001)]
+        assert min(taps) == FIR_MIN_TAPS
 
     def test_random_draws_stable_with_leading_weight(self, rng):
         for _ in range(50):
@@ -194,19 +201,19 @@ class TestModuleDraws:
         assert mods[1].theta[1] == pytest.approx(10.0 * mods[0].theta[1])
 
     def test_perturbation_param_out_of_range(self):
-        # fixed parameter counts are checked with the config, FIR tap counts per draw
+        # checked with the config, FIR taps against the fewest any draw keeps
         with pytest.raises(ValueError, match="parameter 5 outside first_order"):
             ScenarioConfig(n=3, family="first_order", runs=2, perturbation=Perturbation(module=1, param=5))
         with pytest.raises(ValueError, match="parameter 4 outside second_order"):
             ScenarioConfig(n=3, family="second_order", runs=2, perturbation=Perturbation(module=2, param=4))
-        cfg = ScenarioConfig(
-            n=3,
-            family=FIR_BUTTERWORTH,
-            runs=2,
-            perturbation=Perturbation(module=1, param=40),
-        )
-        with pytest.raises(ValueError, match="parameter"):
-            run_scenario(cfg)
+        for param in (FIR_MIN_TAPS, 15, 40):
+            with pytest.raises(ValueError, match=f"parameter {param} outside {FIR_BUTTERWORTH} .* at least 11 taps"):
+                ScenarioConfig(n=3, family=FIR_BUTTERWORTH, runs=2, perturbation=Perturbation(1, param))
+        last = FIR_MIN_TAPS - 1
+        cfg = ScenarioConfig(n=4, family=FIR_BUTTERWORTH, runs=100, perturbation=Perturbation(1, last))
+        for r in range(cfg.runs):  # every draw has the tap, so every run scales it
+            scaled = montecarlo._draw_modules(cfg, np.random.default_rng([0, r]))[0].theta[last]
+            assert scaled == 10.0 * sample_fir_butterworth(np.random.default_rng([0, r])).theta[last]
 
 
 class TestRunScenario:
@@ -228,8 +235,7 @@ class TestRunScenario:
         report = run_scenario(cfg)
         assert np.all(report.runner_up_ratios >= 1.0 - 1e-12)
         assert np.all(report.worst_ratios >= report.runner_up_ratios - 1e-12)
-        stats = ratio_stats(report)
-        assert stats.median_worst >= stats.median_runner_up >= 1.0
+        assert report.median_worst >= report.median_runner_up >= 1.0
 
     @pytest.mark.parametrize("mode", ["equal", "random"])
     def test_logdet_ratios(self, mode):
@@ -292,8 +298,8 @@ class TestRunScenario:
         assert report.n_informative_runs == 0
         assert report.counts.sum() == 0
         assert report.best_index is None
-        assert ratio_stats(report) == ratio_stats(report)
-        assert ratio_stats(report).median_runner_up is None
+        assert report.median_runner_up is None
+        assert report.median_worst is None
 
     def test_slow_decaying_run_rejected_with_reason(self, monkeypatch):
         monkeypatch.setitem(

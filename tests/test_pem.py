@@ -222,6 +222,14 @@ class TestEmpiricalCovariance:
         with pytest.raises(ValueError, match="replications"):
             empirical_covariance(net, Emp.uniform({1}, {2}, 1.0, 0.1), 500, 10)
 
+    def test_sample_floor(self):
+        # records no longer than the transient cut leave nothing to fit
+        net, emp = two_node_fir(), Emp.uniform({1}, {2}, 1.0, 0.1)
+        for n_samples in (40, TRANSIENT):
+            with pytest.raises(ValueError, match=f"more than {TRANSIENT} samples"):
+                empirical_covariance(net, emp, n_samples, 30)
+        assert empirical_covariance(net, emp, TRANSIENT + 1, 30).scale_samples == 1
+
     def test_two_node_fir_agrees_with_theory(self):
         net = two_node_fir()
         emp = Emp.uniform({1}, {2}, 1.0, 0.1)

@@ -15,7 +15,6 @@ from emprank import (
     criterion,
     enumerate_minimal,
     information_matrix,
-    mirror,
     mirror_permutation,
     module_accuracy_report,
     rank_emps,
@@ -23,6 +22,7 @@ from emprank import (
     snr_rule_4node,
     verify_mirror,
 )
+from emprank.emp import mirror_pattern
 from conftest import identical_network, random_network
 
 END_EXCITED = (frozenset({1}), frozenset({2, 3, 4}))
@@ -210,7 +210,7 @@ class TestBatchedProperties:
         ranking = rank_emps(net, profile)
         value = {e.pattern: e.value for e in ranking.entries}
         for e in ranking.entries:
-            twin = mirror(profile.emp_for(e.pattern), n).pattern
+            twin = mirror_pattern(e.pattern, n)
             assert value[twin] == pytest.approx(e.value, rel=accuracy(e))
 
     @settings(max_examples=25, deadline=None)
