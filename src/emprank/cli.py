@@ -371,6 +371,8 @@ def main(argv=None):
         parser.error(f"--replications must be at least {MIN_REPLICATIONS}")
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error("--seed must be at least 0")
     if getattr(args, "samples", None) is not None and args.samples <= TRANSIENT:
         parser.error(f"--samples must exceed the transient cut of {TRANSIENT}")
     try:

@@ -10,11 +10,11 @@ the theoretical per-sample covariance P.
 Simulation, prediction and the Jacobian share one pass down the chain
 (``_forward``).  It carries the noise-free node signals w[k] from node to
 node through the module between them, together with their parameter
-sensitivities s[k] = dw[k]/dtheta, filtered by the same module; the rows of
-module k itself are its derivative filters applied to w[k].  The one-step
-prediction of a measured node j is w[j] and the Jacobian of its residual is
--s[j], so a linearization costs about one ``lfilter`` call per module and
-parameter, and no path product or gradient stack is formed.
+sensitivities s[k] = dw[k]/dtheta, in one ``lfilter`` call per module; the
+rows of module k itself are its derivative filters applied to w[k], one call
+per rational-family parameter and a plain delay per FIR tap.  The one-step
+prediction of a measured node j is w[j] and the Jacobian J of its residual
+is -s[j]; each Gauss-Newton step solves the p x p normal equations in J^T J.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .cascade import CascadeNetwork
 from .emp import Emp
 from .fisher import criterion, information_matrix
-from .lti import ParamModule, UnstableFilterError, param_jacobian, realize
+from .lti import FIR, ParamModule, UnstableFilterError, param_jacobian, realize
 
 __all__ = [
     "CovarianceCheck",
@@ -69,23 +69,25 @@ def _forward(modules, r, n_samples, sensitivities=False):
     """Noise-free node signals of the chain driven by the excitations ``r``
     (node -> signal), in one pass down it: w[k+1] = G_k w[k] + r[k+1], from
     rest.  With ``sensitivities``, also s[k] = dw[k]/dtheta (module-major
-    rows, p x N per node): s[k+1] = G_k s[k], except that the rows of module
-    k are dG_{k,m} w[k].  Index 0 of both is unused."""
-    w = np.zeros((len(modules) + 2, n_samples))
+    rows, p x N per node): s[k+1] = G_k s[k], filtered with w[k] in one call,
+    except that the rows of module k are dG_{k,m} w[k], which for FIR tap m
+    is w[k] delayed by m samples.  Index 0 of both is unused."""
+    p = sum(m.n_params for m in modules) if sensitivities else 0
+    z = np.zeros((len(modules) + 2, 1 + p, n_samples))
     for i, x in r.items():
-        w[i] = x
-    s = np.zeros((w.shape[0], sum(m.n_params for m in modules), n_samples)) if sensitivities else None
-    lo = 0  # first row of module k
+        z[i, 0] = x
+    hi = 1  # rows that G_k filters: w[k] and the rows of earlier modules
     for k, module in enumerate(modules, start=1):
-        b, a = realize(module)
-        w[k + 1] += lfilter(b, a, w[k])
-        if s is not None:
-            if lo:
-                s[k + 1, :lo] = lfilter(b, a, s[k, :lo])
-            for m, d in enumerate(param_jacobian(module)):
-                s[k + 1, lo + m] = lfilter(*d, w[k])
-            lo += module.n_params
-    return w, s
+        z[k + 1, :hi] += lfilter(*realize(module), z[k, :hi])
+        if sensitivities:
+            if module.family == FIR:
+                for m in range(min(module.n_params, n_samples)):
+                    z[k + 1, hi + m, m:] = z[k, 0, : n_samples - m]
+            else:
+                for m, d in enumerate(param_jacobian(module)):
+                    z[k + 1, hi + m] = lfilter(*d, z[k, 0])
+            hi += module.n_params
+    return z[:, 0], z[:, 1:]
 
 
 def simulate(net, emp, n_samples, seed=None):
@@ -186,7 +188,8 @@ def pem_fit(data, structure):
         if np.max(np.abs(grad)) <= GRAD_TOL * max(1.0, cost):
             status = "gradient"
             break
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        # lstsq, not solve: a zero-gain module leaves J^T J singular; take the minimum-norm step
+        step, *_ = np.linalg.lstsq(jac.T @ jac, -0.5 * grad, rcond=None)
         alpha = 1.0
         accepted = False
         while alpha >= 2.0 ** -30:

@@ -490,6 +490,13 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "--threads must be at least 1" in capsys.readouterr().err
 
+    def test_negative_validate_seed(self, capsys, fir2):
+        # numpy refuses a negative entry in the (seed, replication) seed sequence
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--network", str(fir2), "--emp", "B=1;C=2", "--replications", "30", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+
     def test_enumerate_too_few_nodes(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "-n", "1"])

@@ -135,12 +135,13 @@ def test_rank(case, single, criterion):
     case=network_files(),
     samples=mostly(st.sampled_from([51, 80]), st.just(50)),
     replications=mostly(st.just(30), st.just(29)),
+    seed=mostly(st.integers(0, 50), st.just(-1)),
 )
-def test_validate(case, samples, replications):
+def test_validate(case, samples, replications, seed):
     spec, literal = case
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["validate", "--network", written(tmp, spec), "--emp", literal, "-N", str(samples)]
-        assert exit_code(argv + ["--replications", str(replications)]) in (0, 2, 3)
+        assert exit_code(argv + ["--replications", str(replications), "--seed", str(seed)]) in (0, 2, 3)
 
 
 FIR_PROBE = {"n": 4, "family": "fir_butterworth", "runs": 100, "master_seed": 3}

@@ -13,8 +13,9 @@ from emprank import (
     realize,
     simulate,
 )
+from emprank import pem
 from emprank.fisher import gradient_stack
-from emprank.pem import TRANSIENT, _forward, _linearize, _residuals, _try_network
+from emprank.pem import TRANSIENT, _forward, _linearize, _rebuild, _residuals, _try_network
 
 
 def prediction_cost(data, modules):
@@ -124,9 +125,10 @@ class TestPredictionCost:
         bad = [ParamModule("first_order", (1.2, 1.0))]
         assert prediction_cost(data, bad) == np.inf
 
-    def test_gradient_matches_finite_differences(self):
-        net = three_node_fo()
-        emp = Emp.uniform({1, 2}, {3}, 1.0, 0.1)
+    @pytest.mark.parametrize("case", sorted(LINEARIZE_CASES))
+    def test_gradient_matches_finite_differences(self, case):
+        build, emp = LINEARIZE_CASES[case]
+        net = build()
         data = simulate(net, emp, 400, seed=6)
         theta0 = np.concatenate([m.theta for m in net.modules])
         grad = prediction_cost_gradient(data, net.modules)
@@ -136,15 +138,8 @@ class TestPredictionCost:
             up, dn = theta0.copy(), theta0.copy()
             up[m] += step
             dn[m] -= step
-
-            def rebuild(flat):
-                return [
-                    ParamModule("first_order", tuple(flat[2 * k : 2 * k + 2]))
-                    for k in range(2)
-                ]
-
             fd[m] = (
-                prediction_cost(data, rebuild(up)) - prediction_cost(data, rebuild(dn))
+                prediction_cost(data, _rebuild(net.modules, up)) - prediction_cost(data, _rebuild(net.modules, dn))
             ) / (2 * step)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
 
@@ -184,6 +179,28 @@ class TestLinearize:
         np.testing.assert_allclose(res, ref_res, rtol=1e-12, atol=1e-12 * np.abs(ref_res).max())
 
 
+class TestCallBudget:
+    @pytest.mark.parametrize("case, calls", [("fir2", 1), ("first3", 6), ("mixed4", 9)])
+    def test_lfilter_calls(self, monkeypatch, case, calls):
+        """simulate filters once per module; a linearization once per module,
+        for the node signal and its sensitivities together, plus once per
+        rational-family parameter: FIR taps are plain delays."""
+        build, emp = LINEARIZE_CASES[case]
+        net = build()
+        inputs = []
+
+        def counting(b, a, x):
+            inputs.append(x)
+            return lfilter(b, a, x)
+
+        monkeypatch.setattr(pem, "lfilter", counting)
+        data = simulate(net, emp, 300, seed=1)
+        assert len(inputs) == len(net.modules)
+        inputs.clear()
+        _linearize(data, net)
+        assert len(inputs) == calls
+
+
 class TestPemFit:
     def test_noiseless_recovery_fir(self):
         net = two_node_fir()
@@ -208,6 +225,15 @@ class TestPemFit:
         fit = pem_fit(data, init)
         assert fit.converged
         np.testing.assert_allclose(fit.theta, (-0.4, 1.2, 0.3, 0.7), atol=1e-6)
+
+    def test_zero_gain_first_step(self):
+        # b = 0 zeroes the first Jacobian column, so J^T J is singular at the start
+        net = CascadeNetwork([ParamModule("first_order", (0.5, 0.0)), ParamModule("fir", (0.7, -0.3))])
+        data = simulate(net, Emp.uniform({1, 2}, {3}, 1.0, 0.1), 600, seed=14)
+        assert not np.any(_linearize(data, net)[1][:, 0])
+        fit = pem_fit(data, net.modules)
+        assert fit.converged
+        assert np.all(np.isfinite(fit.theta))
 
     def test_unstable_init_rejected(self):
         net = three_node_fo()
