@@ -10,6 +10,8 @@ from (``pair_grams``).  The stack F_ij of excited node i and measured node
 j > i has rows dG_k/dtheta_{k,m} * path(i, k) * path(k+1, j), i <= k < j; its
 unit-variance Gram is Re(F_ij W F_ij^H) by Parseval on the nonnegative
 frequencies of an N-point FFT grid, with the paths as prefix products.
+Only those rows are evaluated; the others stay zero, and the Gram product
+still runs over all rows, so each entry keeps its summation order.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def _pair_grams(modules, radii):
     weight = np.full(x_all.size, 2.0 / n_fft)
     weight[[0, -1]] = 1.0 / n_fft  # zero and Nyquist frequency appear once
     step = max(1, CHUNK // (src.size * module.size))
+    # (pair, row) of the only rows that can be nonzero: modules src..dst-1
+    nz_q, nz_a = np.nonzero((src[:, None] <= module) & (module < dst[:, None]))
     grams = np.zeros((src.size, module.size, module.size))
     for lo in range(0, x_all.size, step):
         x = x_all[lo: lo + step]
@@ -118,8 +122,10 @@ def _pair_grams(modules, radii):
             paths[: k + 1, k + 1] = paths[: k + 1, k] * g
             d.append(dk)
         d = np.concatenate(d) * np.sqrt(weight[lo: lo + step])
-        stack = d * paths[src[:, None], module] * paths[module + 1, dst[:, None]]
-        parts = np.concatenate([stack.real, stack.imag], axis=2)
+        rows = d[nz_a] * paths[src[nz_q], module[nz_a]] * paths[module[nz_a] + 1, dst[nz_q]]
+        parts = np.zeros((src.size, module.size, 2 * x.size))
+        parts[nz_q, nz_a, : x.size] = rows.real
+        parts[nz_q, nz_a, x.size:] = rows.imag
         grams += parts @ parts.transpose(0, 2, 1)
     grams = 0.5 * (grams + grams.transpose(0, 2, 1))
     return PairGrams(src + 1, dst + 1, grams, n_fft)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -142,11 +143,16 @@ def enumerate_minimal(n):
 
     Interior nodes 2..n-1 are assigned by a binary counter with node 2 as the
     least significant bit; a set bit excites the node, a clear bit measures
-    it.  Node 1 is always excited and node n always measured, so the list has
-    2^(n-2) entries (a single entry for n = 2).
+    it.  Node 1 is always excited and node n always measured: 2^(n-2) patterns
+    (one for n = 2), built once per n and returned as a fresh list each call.
     """
     if n < 2:
         raise ValueError("a cascade has at least 2 nodes")
+    return list(_minimal(n))
+
+
+@cache
+def _minimal(n):
     interior = list(range(2, n))
     patterns = []
     for code in range(1 << len(interior)):
@@ -158,7 +164,7 @@ def enumerate_minimal(n):
             else:
                 c.add(node)
         patterns.append((frozenset(b), frozenset(c)))
-    return patterns
+    return tuple(patterns)
 
 
 def mirror_pattern(pattern, n):

@@ -123,12 +123,10 @@ def information_batch(net, sigma2, lam):
     trace = np.sum(1.0 / w, axis=1).tolist()
     logdet = (-np.sum(np.log(w), axis=1)).tolist()
     P = 0.5 * (P + P.transpose(0, 2, 1))
-    traces = np.add.reduceat(np.diagonal(P, axis1=1, axis2=2), [s.start for s in slices], axis=1)
+    traces = np.add.reduceat(np.diagonal(P, axis1=1, axis2=2), [s.start for s in slices], axis=1).tolist()
     rcond = rcond.tolist()
     return [
-        InfoResult(
-            M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]}, traces[e].tolist()
-        )
+        InfoResult(M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]}, traces[e])
         if ok[e]
         else InfoResult(M[e], None, rcond[e], slices, None, None)
         for e in range(len(M))
@@ -143,10 +141,14 @@ def information_matrix(net, emp):
     return information_batch(net, sigma2, lam)[0]
 
 
-def criterion(result, kind="trace"):
-    """Scalar design criterion of a covariance result: trace(P) or logdet(P)."""
+def _check_kind(kind):
     if kind not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {kind!r}")
+
+
+def criterion(result, kind="trace"):
+    """Scalar design criterion of a covariance result: trace(P) or logdet(P)."""
+    _check_kind(kind)
     if not result.informative:
         raise NonInformativeError(
             f"pattern is non-informative (rcond={result.rcond:.3g}); no covariance exists"

@@ -12,12 +12,14 @@ node i against the sensor noise at node j.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .emp import Emp, VarianceProfile, direct_modules, enumerate_minimal, mirror_pattern, pattern_label
-from .fisher import NonInformativeError, criterion, information_batch, information_matrix
+from .fisher import NonInformativeError, _check_kind, information_batch, information_matrix
 
 __all__ = [
     "EmpRanking",
@@ -78,39 +80,33 @@ class EmpRanking:
         return self._ratio(self.entries[-1]) if len(self.entries) > 1 else None
 
 
-def rank_emps(net, profile, kind="trace"):
-    """Evaluate every minimal pattern of the network and sort by criterion."""
-    results = information_batch(net, *profile.minimal_variances(net.n))
-    entries = []
-    dead = []
-    for idx, (pattern, res) in enumerate(zip(enumerate_minimal(net.n), results)):
-        if not res.informative:
-            dead.append((pattern, idx, res.rcond))
-            continue
-        entries.append(
-            RankEntry(
-                pattern=pattern,
-                canonical_index=idx,
-                value=criterion(res, kind),
-                info=res,
-            )
-        )
-    if not entries:
-        raise NonInformativeError(
-            "every minimal pattern is non-informative for this network"
-        )
-    entries.sort(key=lambda e: (e.value, e.canonical_index))
+def _break_ties(entries):
+    """Entries sorted by (value, index), each near-tie group reordered by index: a group starts
+    at its head h and takes the next values up to h * (1 +/- TIE_REL), whichever lies above h."""
+    values = [e.value for e in entries]
     ordered = []
     i = 0
     while i < len(entries):
-        j = i + 1
-        head = entries[i].value
-        bound = head * (1.0 + TIE_REL if head >= 0 else 1.0 - TIE_REL)
-        while j < len(entries) and entries[j].value <= bound:
-            j += 1
-        ordered.extend(sorted(entries[i:j], key=lambda e: e.canonical_index))
+        head = values[i]
+        j = bisect_right(values, head * (1.0 + TIE_REL if head >= 0 else 1.0 - TIE_REL), i + 1)
+        ordered.extend(sorted(entries[i:j], key=attrgetter("canonical_index")) if j - i > 1 else entries[i:j])
         i = j
-    return EmpRanking(kind=kind, entries=ordered, non_informative=dead)
+    return ordered
+
+
+def rank_emps(net, profile, kind="trace"):
+    """Evaluate every minimal pattern of the network and sort by criterion."""
+    _check_kind(kind)
+    results = information_batch(net, *profile.minimal_variances(net.n))
+    patterns = enumerate_minimal(net.n)
+    dead = [(patterns[e], e, res.rcond) for e, res in enumerate(results) if res.P is None]
+    entries = [
+        RankEntry(patterns[e], e, res.criteria[kind], res) for e, res in enumerate(results) if res.P is not None
+    ]
+    if not entries:
+        raise NonInformativeError("every minimal pattern is non-informative for this network")
+    entries.sort(key=attrgetter("value"))  # stable: equal values keep canonical order
+    return EmpRanking(kind=kind, entries=_break_ties(entries), non_informative=dead)
 
 
 def snr_rule_3node(snr21, snr32):

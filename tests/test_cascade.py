@@ -148,3 +148,19 @@ def test_path_gain_read_only(rng):
     for coefficients in net.path_gain(1, 6):
         with pytest.raises(ValueError):
             coefficients[0] = 2.0
+
+
+@pytest.mark.parametrize("family", ["first_order", "second_order", "fir"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pair_grams_zero_outside_their_modules(rng, family, n):
+    net = random_network(rng, n, family)
+    table = net.pair_grams
+    slices = net.param_slices
+    for i, j, gram in zip(table.src, table.dst, table.grams):
+        inside = np.zeros(gram.shape[0], dtype=bool)
+        for s in slices[i - 1: j - 1]:  # modules i..j-1
+            inside[s] = True
+        assert np.all(gram[~inside] == 0.0)
+        assert np.all(gram[:, ~inside] == 0.0)
+        assert np.all(np.diag(gram)[inside] > 0.0)
+        assert np.array_equal(gram, gram.T)

@@ -102,6 +102,15 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_minimal(1)
 
+    def test_returned_list_is_a_copy(self):
+        want = list(enumerate_minimal(5))
+        pats = enumerate_minimal(5)
+        pats.reverse()
+        pats[0] = None
+        pats.append(pats[1])
+        assert enumerate_minimal(5) == want
+        assert enumerate_minimal(5) is not enumerate_minimal(5)
+
 
 class TestMirror:
     def test_four_node_end_patterns_swap(self):

@@ -22,8 +22,10 @@ from emprank import (
     snr_rule_4node,
     verify_mirror,
 )
+from emprank import ranking
 from emprank.emp import mirror_pattern
-from conftest import identical_network, random_network
+from emprank.ranking import TIE_REL, RankEntry, _break_ties
+from conftest import identical_network, random_first_order, random_network
 
 END_EXCITED = (frozenset({1}), frozenset({2, 3, 4}))
 END_MEASURED = (frozenset({1, 2, 3}), frozenset({4}))
@@ -123,6 +125,66 @@ class TestRankEmps:
         net = CascadeNetwork([ParamModule("first_order", (0.3, 0.0))])
         with pytest.raises(NonInformativeError):
             rank_emps(net, VarianceProfile())
+
+    @pytest.mark.parametrize(
+        "modules",
+        [
+            [ParamModule("first_order", (0.5, 0.0)), ParamModule("first_order", (0.3, 0.0))],  # every pattern dead
+            [ParamModule("first_order", (0.5, 1.0)), ParamModule("first_order", (0.3, 2.0))],
+        ],
+    )
+    def test_unknown_criterion_rejected_before_evaluation(self, modules, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the batch was evaluated")
+
+        monkeypatch.setattr(ranking, "information_batch", unreachable)
+        with pytest.raises(ValueError, match="criterion must be one of"):
+            rank_emps(CascadeNetwork(modules), VarianceProfile(), "bogus")
+
+    def test_entries_carry_their_enumerated_pattern(self, rng):
+        net = CascadeNetwork([ParamModule("fir", (0.0,))] + [random_first_order(rng) for _ in range(3)])
+        result = rank_emps(net, VarianceProfile(1.0, 0.01))
+        patterns = enumerate_minimal(net.n)
+        assert result.non_informative  # a zero first module leaves some patterns dead
+        for e in result.entries:
+            assert e.pattern == patterns[e.canonical_index]
+        for pattern, idx, _ in result.non_informative:
+            assert pattern == patterns[idx]
+        assert len(result.entries) + len(result.non_informative) == len(patterns)
+
+
+class TestBreakTies:
+    """The near-tie rule on synthetic values already sorted by (value, index)."""
+
+    @staticmethod
+    def order(pairs):
+        return [e.canonical_index for e in _break_ties([RankEntry(None, i, v, None) for v, i in pairs])]
+
+    def test_groups_do_not_chain(self):
+        # b is within TIE_REL of a, c within it of b but not of a, so c
+        # starts the next group, which d joins
+        a = 1.0
+        b = a * (1 + 0.6 * TIE_REL)
+        c = b * (1 + 0.6 * TIE_REL)
+        d = c * (1 + 0.5 * TIE_REL)
+        assert c > a * (1 + TIE_REL)
+        assert self.order([(a, 5), (b, 2), (c, 1), (d, 0)]) == [2, 5, 0, 1]
+
+    def test_group_reordered_by_index(self):
+        # the group takes values up to its head's bound, that bound included
+        h = 3.0
+        values = [h, h * (1 + 0.5 * TIE_REL), h * (1 + TIE_REL), 4.0]
+        assert self.order(zip(values, [3, 1, 2, 0])) == [1, 2, 3, 0]
+
+    def test_negative_values(self):
+        # a negative head h takes values up to h * (1 - TIE_REL), which lies above h
+        h = -2.0
+        values = [h, h * (1 - 0.5 * TIE_REL), h * (1 - 2 * TIE_REL), -1.0]
+        assert self.order(zip(values, [7, 4, 1, 0])) == [4, 7, 1, 0]
+
+    def test_singletons_keep_their_order(self):
+        assert self.order([(1.0, 2), (2.0, 0), (3.0, 1)]) == [2, 0, 1]
+        assert self.order([]) == []
 
 
 class TestBatchedEvaluation:
