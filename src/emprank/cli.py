@@ -8,7 +8,8 @@ Network files are JSON:
 
 Pattern literals look like "B=1,2;C=3,4" (no node twice in a set) with
 optional per-node variance lists "sigma2=..." / "lambda=..." aligned with the
-ascending node order of their set (a single value broadcasts).
+ascending node order of their set (a single value broadcasts); every module must lie on
+an excited-to-measured path.  The "rcond" that ``rank`` prints is fisher's Jacobi-scaled one.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -127,6 +128,9 @@ def parse_emp_literal(text, n, profile):
     c = nodes(parts["C"], "C")
     sigma2 = variances("sigma2", b, profile.sigma2_at)
     lam = variances("lambda", c, profile.lam_at)
+    unspanned = [k for k in range(1, n) if not min(b) <= k < max(c)]  # by no excited i <= k < measured j
+    if unspanned:
+        raise ConfigError(f"no excited/measured pair of {text!r} spans module(s) {','.join(map(str, unspanned))}")
     silent = [j for j in sorted(c) if lam[j] <= 0 and j > min(b)]
     if silent:
         raise ConfigError(

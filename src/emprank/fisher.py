@@ -18,10 +18,11 @@ read from the network's Parseval pair-Gram table (``CascadeNetwork.pair_grams``)
 A batch of patterns is given by per-node variance arrays sigma2 and lam of
 shape (patterns, n+1): sigma2 is zero at an unexcited node, lam infinite at
 an unmeasured one.  The patterns x pairs weights sigma2_i / lambda_j come by
-broadcasting, then one contraction with the stacked Grams and one stacked
-symmetric eigendecomposition.  The per-sample asymptotic covariance is
-P = M^-1, formed only when the eigenvalue ratio shows M to be numerically
-invertible; cov(theta_hat) over N samples is then P/N.
+broadcasting, then one contraction with the stacked Grams.  M is inverted
+through its Jacobi scaling S = DMD, D = diag(M)^-1/2, whose unit diagonal
+makes it independent of parameter units: a stacked Cholesky S = LL^T and
+X = L^-1 give the per-sample asymptotic covariance P = M^-1 = D X^T X D.
+cov(theta_hat) over N samples is then P/N.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
     "information_matrix",
 ]
 
-RCOND_THRESHOLD = 1e-10
+RCOND_THRESHOLD = 1e-12
 CRITERIA = ("trace", "logdet")
 
 
@@ -69,7 +70,8 @@ def gradient_stack(net, i, j):
 @dataclass
 class InfoResult:
     """Information matrix M, covariance P (None when non-informative), and
-    derived per-module diagnostics for one pattern on one network."""
+    derived per-module diagnostics for one pattern on one network.  rcond is
+    1/(||S||_1 ||S^-1||_1) of the scaled S = DMD; 0 when S is not formed or not factored."""
 
     M: np.ndarray
     P: np.ndarray
@@ -103,28 +105,46 @@ def information_batch(net, sigma2, lam):
     sigma2 and lam are the per-node variance arrays of the patterns (see the
     module docstring).  Parameters are ordered module-major (all of module 1,
     then module 2, ...).  Only excited/measured pairs with i < j contribute.
-    Each assembled matrix is inverted only when its eigenvalue ratio clears
-    RCOND_THRESHOLD; otherwise, and when gains too large for float64 made it
-    overflow, its result reports a non-informative pattern with P=None.
+    A pattern is informative when diag(M) is finite and positive, S has a
+    Cholesky factor, rcond > RCOND_THRESHOLD and P, trace and logdet are
+    finite; otherwise, also when float64 overflows, its result has P=None.
     Returns one InfoResult per pattern, in order.
     """
     slices = net.param_slices
     # einsum's fixed summation order keeps each M independent of the batch,
     # and exactly symmetric, since the pair Grams are
-    with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite M below
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness tests below
         M = np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
-    finite = np.isfinite(M).all(axis=(1, 2))
-    w, v = np.linalg.eigh(M if finite.all() else np.where(finite[:, None, None], M, 0.0))
-    top = w[:, -1]
-    rcond = np.divide(np.maximum(w[:, 0], 0.0), top, out=np.zeros_like(top), where=top > 0)
-    ok = rcond > RCOND_THRESHOLD
-    w = np.where(ok[:, None], w, 1.0)  # results of the other patterns are dropped
-    P = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
-    trace = np.sum(1.0 / w, axis=1).tolist()
-    logdet = (-np.sum(np.log(w), axis=1)).tolist()
-    P = 0.5 * (P + P.transpose(0, 2, 1))
-    traces = np.add.reduceat(np.diagonal(P, axis1=1, axis2=2), [s.start for s in slices], axis=1).tolist()
-    rcond = rcond.tolist()
+        d = np.diagonal(M, axis1=1, axis2=2)
+        ok = ((d > 0) & (d < np.inf)).all(axis=1)
+        D = 1.0 / np.sqrt(np.where(ok[:, None], d, 1.0))
+        S, eye = M * D[:, :, None] * D[:, None, :], np.eye(M.shape[1])
+        S[~ok] = eye  # I stands in for the patterns set aside
+        try:
+            X = np.linalg.cholesky(S)  # L, overwritten below by L^-1
+        except np.linalg.LinAlgError:  # factor one pattern at a time and set aside those that fail
+            for e in range(len(S)):
+                try:
+                    np.linalg.cholesky(S[e])
+                except np.linalg.LinAlgError:
+                    S[e], ok[e] = eye, False
+            X = np.linalg.cholesky(S)
+        logdet = 2.0 * (np.log(D).sum(axis=1) - np.log(np.diagonal(X, axis1=1, axis2=2)).sum(axis=1))
+        for i, r in enumerate(1.0 / np.diagonal(X, axis1=1, axis2=2).T):  # forward substitution, row by row
+            X[:, i, :i] = -(X[:, i, None, :i] @ X[:, :i, :i])[:, 0] * r[:, None]
+            X[:, i, i] = r
+        norm_s = np.linalg.norm(S, 1, axis=(1, 2))
+        P = np.matmul(X.transpose(0, 2, 1), X, out=S)  # S^-1 = X^T X in the memory of S, scaled to P below
+        rcond = np.where(ok, 1.0 / (norm_s * np.linalg.norm(P, 1, axis=(1, 2))), 0.0)
+        P *= D[:, :, None] * D[:, None, :]
+        P += P.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        P *= 0.5
+        diag = np.diagonal(P, axis1=1, axis2=2)
+        trace = diag.sum(axis=1)
+        ok &= (rcond > RCOND_THRESHOLD) & np.isfinite(P).all(axis=(1, 2))
+        ok &= np.isfinite(trace) & np.isfinite(logdet)
+    traces = np.add.reduceat(diag, [s.start for s in slices], axis=1).tolist()
+    trace, logdet, rcond = trace.tolist(), logdet.tolist(), rcond.tolist()
     return [
         InfoResult(M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]}, traces[e])
         if ok[e]

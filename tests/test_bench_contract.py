@@ -129,10 +129,13 @@ def bench():
 
 def test_bench_reads_of_returned_objects(bench, capsys):
     workloads, checks = bench
-    # a clean chain, and one with patterns set aside (fault 1 of bench/checks.py)
+    # a clean chain, and the same chain with a zero first module, which no
+    # pattern that measures node 2 can identify, so those are set aside
+    key, modules, profile, _ = workloads.fixed_chain("equal", 0)
+    zero_gain = ("zero-gain", [ParamModule("fir", (0.0,))] + modules[1:], profile)
     dead = []
-    for chain in (("equal", 0), workloads.FAULT_CHAINS[0]):
-        _, ranked = workloads.RankOp(*workloads.fixed_chain(*chain)).run(0, 1)
+    for chain in ((key, modules, profile), zero_gain):
+        _, ranked = workloads.RankOp(*chain).run(0, 1)
         assert sorted(ranked["order"] + ranked["dead"]) == list(range(1 << (workloads.RANK_N - 2)))
         assert set(ranked["trace"]) == set(ranked["order"])
         dead.append(len(ranked["dead"]))

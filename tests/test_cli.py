@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +364,14 @@ class TestErrorPaths:
     def test_node_listed_twice_in_pattern_literal(self, capsys, net3, literal, message):
         assert main(["rank", "--network", str(net3), "--emp", literal]) == 2
         assert f"configuration error: {message}" in capsys.readouterr().err
+
+    def test_pattern_leaving_modules_unspanned(self, capsys):
+        # node 1 excited and node 2 measured only: modules 2 and 3 lie on no
+        # excited -> measured path, so the pattern cannot identify them
+        network = Path(__file__).resolve().parents[1] / "bench" / "networks" / "agree.json"
+        assert main(["rank", "--network", str(network), "--emp", "B=1;C=2"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: no excited/measured pair of 'B=1;C=2' spans module(s) 2,3" in err
 
     def test_unknown_criterion(self, capsys, net3):
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,12 @@ geometric series; the scattered assembly is additionally cross-checked
 against a time-domain Monte Carlo estimate at desk scale.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from emprank import (
@@ -14,10 +18,15 @@ from emprank import (
     Emp,
     NonInformativeError,
     ParamModule,
+    ScenarioConfig,
+    UnstableFilterError,
+    VarianceProfile,
     criterion,
     information_matrix,
+    rank_emps,
 )
-from emprank.fisher import gradient_stack
+from emprank import montecarlo
+from emprank.fisher import gradient_stack, information_batch
 from conftest import filt, identical_network, random_network, white_correlation
 
 UNIT = filt([1.0], [1.0])
@@ -267,3 +276,81 @@ class TestSharedFirstModuleBlock:
         want = self.a_inverse(net, 1.0, 0.01)
         got = res.P[res.param_slices[0], res.param_slices[0]]
         assert np.trace(got) < np.trace(want) * (1 - 1e-6)
+
+
+def drawn_chain(n, family, law, run, master_seed=20260815):
+    """Network and variances of one run of the Monte Carlo sampling law."""
+    cfg = ScenarioConfig(n=n, family=family, runs=1, variance_mode=law, master_seed=master_seed)
+    rng = np.random.default_rng([master_seed, run])
+    return CascadeNetwork(montecarlo._draw_modules(cfg, rng)), montecarlo._draw_profile(cfg, rng)
+
+
+class TestScaledCholesky:
+    """Verdicts come from the Jacobi-scaled S = DMD, D = diag(M)^-1/2."""
+
+    @pytest.mark.parametrize("law, run", [("equal", 5), ("random", 4)])
+    def test_ill_scaled_chains_rank_fully(self, law, run):
+        # n=10 chains whose raw eigenvalue ratios fall below 1e-10 on 192 and
+        # 96 patterns although every minimal pattern identifies the chain
+        net, profile = drawn_chain(10, "first_order", law, run)
+        ranking = rank_emps(net, profile)
+        assert ranking.non_informative == []
+        assert len(ranking.entries) == 256
+
+    @pytest.mark.parametrize("family, n", [("first_order", 5), ("second_order", 4), ("fir", 4)])
+    def test_matches_dense_inverse_of_scaled_matrix(self, rng, family, n):
+        net = random_network(rng, n, family)
+        results = information_batch(net, *VarianceProfile(1.0, 0.01).minimal_variances(n))
+        for res in results:
+            d = 1.0 / np.sqrt(np.diag(res.M))
+            S = res.M * np.outer(d, d)
+            S_inv = np.linalg.inv(S)
+            sign, logdet_S = np.linalg.slogdet(S)
+            assert sign > 0
+            # entrywise in the scaled coordinates, where S^-1 has no units
+            np.testing.assert_allclose(res.P / np.outer(d, d), S_inv, rtol=0, atol=1e-10 * np.abs(S_inv).max())
+            assert res.criteria["trace"] == pytest.approx(np.trace(S_inv * np.outer(d, d)), rel=1e-12)
+            assert res.criteria["logdet"] == pytest.approx(2.0 * np.log(d).sum() - logdet_S, rel=1e-12, abs=1e-12)
+            want = 1.0 / (np.linalg.norm(S, 1) * np.linalg.norm(S_inv, 1))
+            assert res.rcond == pytest.approx(want, rel=1e-10)
+
+    def test_failed_factorization_sets_aside_only_its_pattern(self):
+        # Grams that give the first pattern of a 3-node chain an indefinite M
+        # with a positive diagonal, so the stacked Cholesky fails on it alone
+        net = CascadeNetwork([ParamModule("fir", (0.5,)), ParamModule("fir", (0.7,))])
+        grams = np.stack([[[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2)), np.eye(2)])  # pairs (1,2), (1,3), (2,3)
+        net.pair_grams = dataclasses.replace(net.pair_grams, grams=grams)
+        sigma2, lam = VarianceProfile().minimal_variances(3)
+        bad, good = information_batch(net, sigma2, lam)
+        assert not bad.informative and bad.rcond == 0.0
+        alone = information_batch(net, sigma2[1:], lam[1:])[0]
+        np.testing.assert_array_equal(good.P, np.eye(2))
+        np.testing.assert_array_equal(good.P, alone.P)
+        assert good.rcond == alone.rcond == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 5),
+        family=st.sampled_from(montecarlo.MODULE_FAMILIES),
+        law=st.sampled_from(["equal", "random"]),
+        run=st.integers(0, 10_000),
+        powers=st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+    )
+    @example(n=10, family="first_order", law="equal", run=5, powers=[-30, 17, 0, 40, -3])  # an ill-scaled chain
+    def test_verdicts_do_not_depend_on_parameter_units(self, n, family, law, run, powers):
+        # theta -> theta / t with t a power of two per parameter maps every
+        # Gram to T G T exactly, so M to T M T and P to T^-1 P T^-1
+        try:
+            net, profile = drawn_chain(n, family, law, run)
+            grams = net.pair_grams
+        except UnstableFilterError:
+            reject()
+        t = 2.0 ** np.resize(powers, grams.grams.shape[1])
+        scaled = CascadeNetwork(net.modules)
+        scaled.pair_grams = dataclasses.replace(grams, grams=grams.grams * np.outer(t, t))
+        variances = profile.minimal_variances(n)
+        for res, got in zip(information_batch(net, *variances), information_batch(scaled, *variances)):
+            assert got.informative == res.informative
+            assert got.rcond == res.rcond
+            if res.informative:
+                np.testing.assert_array_equal(got.P, res.P / np.outer(t, t))
