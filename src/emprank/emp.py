@@ -121,10 +121,8 @@ class VarianceProfile:
 
     def minimal_variances(self, n):
         """Per-node variance arrays (sigma2, lam) of shape (2^(n-2), n+1) of the
-        minimal patterns of an n-node cascade in ``enumerate_minimal`` order:
-        row c excites node k when bit k of 4c + 2 is set, else measures k >= 2."""
-        nodes = np.arange(n + 1)
-        excited = (np.arange(1 << (n - 2))[:, None] << 2 | 2) >> nodes & 1 == 1
+        minimal patterns of an n-node cascade in ``enumerate_minimal`` order."""
+        nodes, excited = np.arange(n + 1), _excited(n)
         sigma2 = [self.sigma2_at(i) if 0 < i < n else 0.0 for i in nodes]
         lam = [self.lam_at(j) if j > 1 else np.inf for j in nodes]
         return np.where(excited, sigma2, 0.0), np.where(~excited & (nodes > 1), lam, np.inf)
@@ -151,29 +149,30 @@ def enumerate_minimal(n):
     return list(_minimal(n))
 
 
+def _excited(n):
+    """Excitation mask of the minimal patterns, (2^(n-2), n+1): row c excites node k when bit k of 4c + 2 is set."""
+    return (np.arange(1 << (n - 2))[:, None] << 2 | 2) >> np.arange(n + 1) & 1 == 1
+
+
 @cache
 def _minimal(n):
-    interior = list(range(2, n))
-    patterns = []
-    for code in range(1 << len(interior)):
-        b = {1}
-        c = {n}
-        for bit, node in enumerate(interior):
-            if code >> bit & 1:
-                b.add(node)
-            else:
-                c.add(node)
-        patterns.append((frozenset(b), frozenset(c)))
-    return tuple(patterns)
+    return tuple(
+        (frozenset({1, *[k for k in range(2, n) if e[k]]}), frozenset({n, *[k for k in range(2, n) if not e[k]]}))
+        for e in _excited(n).tolist()
+    )
 
 
 def mirror_pattern(pattern, n):
     """Reflect a (B, C) pair end-for-end: node j maps to n - j + 1 and the
     roles swap, so excited nodes become measured ones and vice versa."""
+    _check_nodes(pattern, n)
     b, c = pattern
-    if max(b | c) > n:
-        raise ValueError(f"pattern references nodes beyond {n}")
     return frozenset(n - j + 1 for j in c), frozenset(n - i + 1 for i in b)
+
+
+def _check_nodes(pattern, n):
+    if (node := max(pattern[0] | pattern[1])) > n:
+        raise ValueError(f"pattern references node {node} beyond the {n}-node cascade")
 
 
 def direct_modules(pattern):

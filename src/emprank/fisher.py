@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emp import _check_nodes
 from .lti import param_jacobian, series
 
 __all__ = [
@@ -76,7 +77,6 @@ class InfoResult:
     M: np.ndarray
     P: np.ndarray
     rcond: float
-    param_slices: list
     criteria: dict
     traces: list  # per-module block traces of P, None when non-informative
 
@@ -110,7 +110,6 @@ def information_batch(net, sigma2, lam):
     finite; otherwise, also when float64 overflows, its result has P=None.
     Returns one InfoResult per pattern, in order.
     """
-    slices = net.param_slices
     # einsum's fixed summation order keeps each M independent of the batch,
     # and exactly symmetric, since the pair Grams are
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness tests below
@@ -143,18 +142,19 @@ def information_batch(net, sigma2, lam):
         trace = diag.sum(axis=1)
         ok &= (rcond > RCOND_THRESHOLD) & np.isfinite(P).all(axis=(1, 2))
         ok &= np.isfinite(trace) & np.isfinite(logdet)
-    traces = np.add.reduceat(diag, [s.start for s in slices], axis=1).tolist()
+    traces = np.add.reduceat(diag, [s.start for s in net.param_slices], axis=1).tolist()
     trace, logdet, rcond = trace.tolist(), logdet.tolist(), rcond.tolist()
     return [
-        InfoResult(M[e], P[e], rcond[e], slices, {"trace": trace[e], "logdet": logdet[e]}, traces[e])
+        InfoResult(M[e], P[e], rcond[e], {"trace": trace[e], "logdet": logdet[e]}, traces[e])
         if ok[e]
-        else InfoResult(M[e], None, rcond[e], slices, None, None)
+        else InfoResult(M[e], None, rcond[e], None, None)
         for e in range(len(M))
     ]
 
 
 def information_matrix(net, emp):
     """The InfoResult of one Emp: ``information_batch`` of a batch of one."""
+    _check_nodes(emp.pattern, net.n)
     sigma2, lam = np.zeros((1, net.n + 1)), np.full((1, net.n + 1), np.inf)
     sigma2[0, list(emp.sigma2)] = list(emp.sigma2.values())
     lam[0, list(emp.lam)] = list(emp.lam.values())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeNetwork
-from .emp import Emp
+from .emp import Emp, _check_nodes
 from .fisher import criterion, information_matrix
 from .lti import FIR, ParamModule, UnstableFilterError, param_jacobian, realize
 
@@ -97,6 +97,7 @@ def simulate(net, emp, n_samples, seed=None):
     drawn first for the excited nodes in ascending order, then the sensor
     noises in ascending order, all mutually independent Gaussians.
     """
+    _check_nodes(emp.pattern, net.n)
     rng = np.random.default_rng(seed)
     r = {
         i: rng.normal(0.0, np.sqrt(emp.sigma2[i]), n_samples)

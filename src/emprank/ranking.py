@@ -329,7 +329,7 @@ def covariance_block_identities(net, profile):
         m_dev = np.linalg.norm(res.M - m_expect) / np.linalg.norm(m_expect)
         p_dev = max(
             np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
-            for got, want in zip((res.P[s, s] for s in res.param_slices), p_blocks)
+            for got, want in zip((res.P[s, s] for s in net.param_slices), p_blocks)
         )
         report[pattern] = {"m_deviation": float(m_dev), "block_deviation": float(p_dev)}
     return report

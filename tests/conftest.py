@@ -1,8 +1,56 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
-from emprank import CascadeNetwork, ParamModule
-from emprank.lti import impulse_response
+from emprank import CascadeNetwork, ParamModule, ScenarioConfig, UnstableFilterError
+from emprank import montecarlo
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """``bench/<name>.py`` loaded by file path, as module ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = load_bench("oracle")  # the one reference the engine is checked against
+
+
+def reference(modules):
+    """The oracle's ``Reference`` (pair Grams, per-pattern M) of a chain of ParamModules."""
+    return oracle.Reference([(m.family, m.theta) for m in modules])
+
+
+def root_radius(module):
+    """Largest pole modulus of a module: roots of the oracle's denominator."""
+    return max(np.abs(np.roots(oracle.coefficients(module.family, module.theta)[1])), default=0.0)
+
+
+def oracle_path(modules, i, j, x):
+    """Response at node j to the signal x entering node i, and its derivative
+    rows (module-major, zero outside modules i..j-1), filtered module by module
+    through ``oracle.coefficients`` with a complex step of ``oracle.STEP``."""
+    offsets = np.cumsum([0] + [m.n_params for m in modules])
+    rows = np.zeros((offsets[-1], len(x)))
+    for k in range(i, j):
+        family, theta = modules[k - 1].family, modules[k - 1].theta
+        for m in range(len(theta)):
+            shifted = np.array(theta, dtype=complex)
+            shifted[m] += 1j * oracle.STEP
+            z = lfilter(*oracle.coefficients(family, shifted), x)
+            for later in modules[k: j - 1]:
+                z = lfilter(*oracle.coefficients(later.family, later.theta), z)
+            rows[offsets[k - 1] + m] = z.imag / oracle.STEP
+        x = lfilter(*oracle.coefficients(family, theta), x)
+    return x, rows
 
 
 def filt(num, den):
@@ -11,18 +59,6 @@ def filt(num, den):
     powers of q^-1: num zero-padded in front to the length of den."""
     a = np.asarray(den, dtype=float)
     return np.concatenate([np.zeros(a.size - len(num)), num]), a
-
-
-def white_correlation(a, b, variance):
-    """Correlation matrix of two filter banks driven by shared white noise:
-    entry (p, q) is variance * sum_t h_{a_p}(t) h_{b_q}(t), summed over
-    impulse responses in the time domain, independently of the package's
-    Parseval Grams."""
-    rows = [impulse_response(f)[0] for f in list(a) + list(b)]
-    h = np.zeros((len(rows), max(r.size for r in rows)))
-    for out, r in zip(h, rows):
-        out[: r.size] = r
-    return variance * (h[: len(a)] @ h[len(a):].T)
 
 
 def is_minimal(emp, n):
@@ -85,6 +121,26 @@ def identical_network(rng, n, family="first_order"):
     }[family]
     module = draw(rng)
     return CascadeNetwork([module] * (n - 1))
+
+
+def drawn_chain(n, family, law, run, master_seed=20260815):
+    """Network and variances of one run of the Monte Carlo sampling law."""
+    cfg = ScenarioConfig(n=n, family=family, runs=1, variance_mode=law, master_seed=master_seed)
+    rng = np.random.default_rng([master_seed, run])
+    return CascadeNetwork(montecarlo._draw_modules(cfg, rng)), montecarlo._draw_profile(cfg, rng)
+
+
+@st.composite
+def drawn_chains(draw):
+    """Hypothesis draws of ``drawn_chain`` at n = 3..5 whose pair Grams exist."""
+    n, family = draw(st.integers(3, 5)), draw(st.sampled_from(montecarlo.MODULE_FAMILIES))
+    law, run = draw(st.sampled_from(["equal", "random"])), draw(st.integers(0, 10_000))
+    try:
+        net, profile = drawn_chain(n, family, law, run)
+        net.pair_grams
+    except UnstableFilterError:
+        reject()
+    return net, profile
 
 
 @pytest.fixture

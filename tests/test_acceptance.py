@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from emprank import (
     CascadeNetwork,
@@ -30,13 +29,11 @@ from emprank import (
     empirical_covariance,
     enumerate_minimal,
     information_matrix,
-    param_jacobian,
     pattern_label,
     run_scenario,
     verify_mirror,
 )
-from emprank.fisher import gradient_stack
-from conftest import identical_network, is_minimal, random_first_order, white_correlation
+from conftest import identical_network, is_minimal, oracle_path, random_first_order, reference
 
 MASTER_SEED = 20260815
 WORKERS = min(4, os.cpu_count() or 1)
@@ -171,8 +168,7 @@ def test_criterion_06_first_module_floor():
     profile = VarianceProfile(sigma2, lam)
 
     def gram_inverse(module):
-        jac = list(param_jacobian(module))
-        return np.linalg.inv((sigma2 / lam) * white_correlation(jac, jac, 1.0))
+        return np.linalg.inv(sigma2 / lam * reference([module]).grams[1, 2])
 
     worst = 0.0
     for n in (4, 5):
@@ -185,7 +181,7 @@ def test_criterion_06_first_module_floor():
                 if 2 not in pattern[1]:
                     continue
                 res = information_matrix(net, profile.emp_for(pattern))
-                got = res.P[res.param_slices[0], res.param_slices[0]]
+                got = res.P[net.param_slices[0], net.param_slices[0]]
                 worst = max(
                     worst, np.linalg.norm(got - floor) / np.linalg.norm(floor)
                 )
@@ -197,7 +193,7 @@ def test_criterion_06_first_module_floor():
                 if n - 1 not in pattern[0]:
                     continue
                 res = information_matrix(dual_net, profile.emp_for(pattern))
-                got = res.P[res.param_slices[-1], res.param_slices[-1]]
+                got = res.P[dual_net.param_slices[-1], dual_net.param_slices[-1]]
                 worst = max(
                     worst, np.linalg.norm(got - dual_floor) / np.linalg.norm(dual_floor)
                 )
@@ -340,7 +336,6 @@ def test_criterion_11_engine_oracle():
     emp = Emp.uniform({1, 2}, {3, 4}, 1.0, 0.01)
     res = information_matrix(net, emp)
     p = res.M.shape[0]
-    offsets = {k + 1: 2 * k for k in range(3)}
     n_samples = 1_000_000
     cut = 500
     excite = {
@@ -349,14 +344,7 @@ def test_criterion_11_engine_oracle():
     }
     estimate = np.zeros((p, p))
     for j in sorted(emp.measured):
-        psi = np.zeros((p, n_samples))
-        for i in sorted(emp.excited):
-            if i >= j:
-                continue
-            stack = gradient_stack(net, i, j)
-            for k, filters in stack.items():
-                for m, f in enumerate(filters):
-                    psi[offsets[k] + m] += lfilter(*f, excite[i])
+        psi = sum(oracle_path(net.modules, i, j, excite[i])[1] for i in sorted(emp.excited) if i < j)
         estimate += psi[:, cut:] @ psi[:, cut:].T / (n_samples - cut) / emp.lam[j]
     scaled_error = np.abs(estimate - res.M) / np.abs(res.M).max()
     assert scaled_error.max() < 0.02

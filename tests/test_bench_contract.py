@@ -6,13 +6,13 @@ declared per-layer metrics out of its report, so renaming or deleting a
 wrapped name breaks the benchmark even though every check passes.  These
 tests fail first: when a wrapped name is missing, when a wrapped function's
 return value no longer carries what its span counter reads, when a name the
-workloads and checks read off emprank or one of its modules is gone, and
-when an attribute they read off a returned emprank object is.
+workloads and checks read off emprank or one of its modules is gone, when an
+attribute they read off a returned emprank object is, and when
+``bench/oracle.py``, the tests' reference, takes code from emprank or tests.
 """
 
 import ast
 import importlib
-import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
@@ -34,9 +34,7 @@ from emprank import (
 )
 from emprank.cli import main
 from emprank.lti import impulse_response
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-TRACING = BENCH / "tracing.py"
+from conftest import BENCH, load_bench
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +42,7 @@ def tracing():
     # the tracer wraps a name in every emprank module already loaded
     for info in pkgutil.iter_modules(emprank.__path__):
         importlib.import_module(f"emprank.{info.name}")
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("tracing")
 
 
 def test_every_wrapped_name_exists(tracing):
@@ -151,3 +146,13 @@ def test_bench_reads_of_returned_objects(bench, capsys):
     modules, profile = checks.load_network_file(network)
     labels = [emp.label for emp in workloads.patterns_of(len(modules) + 1, profile)]
     assert sorted(row["pattern"] for row in rows) == sorted(labels)
+
+
+def test_oracle_imports_nothing_of_the_package_or_the_tests():
+    """Tier-1 checks the engine against ``bench/oracle.py``: an independent
+    computation only while it takes no code from emprank or the tests."""
+    nodes = list(ast.walk(ast.parse((BENCH / "oracle.py").read_text())))
+    roots = {a.name.split(".")[0] for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    roots |= {n.module.split(".")[0] if n.level == 0 else "." for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert "numpy" in roots and "." not in roots
+    assert not roots & {"emprank", *(path.stem for path in Path(__file__).parent.glob("*.py"))}

@@ -21,11 +21,10 @@ from emprank import (
     information_matrix,
     pattern_label,
     rank_emps,
-    realize,
     run_scenario,
 )
 from emprank import montecarlo
-from emprank.lti import STABILITY_MARGIN, pole_radius
+from emprank.lti import STABILITY_MARGIN
 from emprank.montecarlo import (
     FIR_BUTTERWORTH,
     FIR_MIN_TAPS,
@@ -33,6 +32,7 @@ from emprank.montecarlo import (
     sample_first_order,
     sample_second_order,
 )
+from conftest import reference, root_radius
 
 
 class FixedCutoff:
@@ -89,7 +89,7 @@ class TestButterworthSampler:
     def test_random_draws_stable_with_leading_weight(self, rng):
         for _ in range(50):
             m = sample_fir_butterworth(rng)
-            assert pole_radius(realize(m)) < STABILITY_MARGIN
+            assert root_radius(m) < STABILITY_MARGIN
             assert len(m.theta) >= 3
             assert abs(m.theta[0]) > 1e-2
 
@@ -112,7 +112,7 @@ class TestParametricSamplers:
             assert -3.0 <= -t[1] <= 3.0
             assert 0.0 <= t[3] < 1.0
             assert -2.0 < t[2] <= 0.0
-            assert pole_radius(realize(m)) < STABILITY_MARGIN
+            assert root_radius(m) < STABILITY_MARGIN
 
 
 class TestScenarioConfig:
@@ -447,88 +447,26 @@ class TestButterworthScenario:
         assert report.counts[1] == 10
 
 
-# Independent oracle for the pair Grams and the information matrices (first
-# used for the first-order population of acceptance criterion 9, same master
-# seed).  It rebuilds every pair's Gram from directly simulated pair impulse
-# responses, differentiated numerically, with numpy and lfilter only: no Gram,
-# gradient stack or transfer-function code of the package is involved.  The
-# derivative is a complex-step finite difference (shift one parameter by
-# i*step, read the imaginary part), which has no subtractive cancellation, so
-# the oracle is accurate to rounding.  1000 samples cover the slowest
-# criterion-9 response (a fourth-order pole at -0.9) to below double precision.
+# criterion 9's master seed, shared with criterion 7
 CRITERION_9_SEED = 20260815
-ORACLE_LEN = 1000
-ORACLE_STEP = 1e-30
-
-
-def oracle_coefficients(family, theta):
-    """(b, a) in powers of q^-1, read from a module family and its parameters."""
-    if family == "fir":
-        return theta, [1.0]
-    if family == "first_order":
-        return [0.0, theta[1]], [1.0, theta[0]]  # b/(q + a)
-    return [0.0, theta[0], theta[1]], [1.0, theta[2], theta[3]]
-
-
-def oracle_pair_responses(modules, thetas, length):
-    """Impulse responses from node i to every node j > i, one lfilter per module."""
-    impulse = np.zeros(length, dtype=complex)
-    impulse[0] = 1.0
-    responses = {}
-    n = len(modules) + 1
-    for i in range(1, n):
-        x = impulse
-        for k in range(i, n):
-            x = lfilter(*oracle_coefficients(modules[k - 1].family, thetas[k - 1]), x)
-            responses[i, k + 1] = x
-    return responses
-
-
-def oracle_grams(modules, length=ORACLE_LEN):
-    """Unit-variance Gram of every pair (i, j), over all parameters."""
-    p = sum(m.n_params for m in modules)
-    psi = {}
-    row = 0
-    for k, module in enumerate(modules):
-        for m in range(module.n_params):
-            thetas = [np.array(mod.theta, dtype=complex) for mod in modules]
-            thetas[k][m] += 1j * ORACLE_STEP
-            for pair, h in oracle_pair_responses(modules, thetas, length).items():
-                psi.setdefault(pair, np.zeros((p, length)))[row] = h.imag / ORACLE_STEP
-            row += 1
-    return {pair: g @ g.T for pair, g in psi.items()}
-
-
-def oracle_information(modules, profile, patterns):
-    """Per-sample information matrix of each pattern from the oracle's Grams."""
-    grams = oracle_grams(modules)
-    return [
-        sum(
-            profile.sigma2_at(i) / profile.lam_at(j) * grams[i, j]
-            for i in b
-            for j in c
-            if i < j
-        )
-        for b, c in patterns
-    ]
 
 
 class TestEngineGrams:
-    """The network's Parseval pair Grams against the oracle's."""
+    """The network's Parseval pair Grams against those of ``bench/oracle.py``."""
 
     @staticmethod
-    def worst_deviation(modules, length):
+    def worst_deviation(modules):
         table = CascadeNetwork(modules).pair_grams
-        oracle = oracle_grams(modules, length)
+        grams = reference(modules).grams
         return max(
-            np.linalg.norm(g - oracle[i, j]) / np.linalg.norm(oracle[i, j])
+            np.linalg.norm(g - grams[i, j]) / np.linalg.norm(grams[i, j])
             for i, j, g in zip(table.src, table.dst, table.grams)
         )
 
     def test_first_order_n10(self):
         rng = np.random.default_rng([CRITERION_9_SEED, 0])
         modules = [sample_first_order(rng) for _ in range(9)]
-        assert self.worst_deviation(modules, ORACLE_LEN) <= 1e-12
+        assert self.worst_deviation(modules) <= 1e-12
 
     def test_second_order_n4_slow_pole(self):
         # a complex pole pair of radius 0.97 next to a real double pole
@@ -538,17 +476,18 @@ class TestEngineGrams:
             slow,
             ParamModule("second_order", (1.0, 2.0, -0.5, 0.2)),
         ]
-        assert max(pole_radius(realize(m)) for m in modules) == pytest.approx(0.97)
-        assert self.worst_deviation(modules, 4000) <= 1e-12
+        assert max(map(root_radius, modules)) == pytest.approx(0.97)
+        assert self.worst_deviation(modules) <= 1e-12
 
     def test_fir_butterworth_n4(self):
         rng = np.random.default_rng([CRITERION_9_SEED, 1])
         modules = [sample_fir_butterworth(rng) for _ in range(3)]
-        assert self.worst_deviation(modules, 256) <= 1e-12
+        assert self.worst_deviation(modules) <= 1e-12
 
 
 class TestCriterion9Oracle:
-    """The ratio engine against the oracle on runs 0..199 of criterion 9."""
+    """The ratio engine against the complex-step oracle of ``bench/oracle.py``
+    on runs 0..199 of criterion 9."""
 
     RUNS = 200
 
@@ -568,12 +507,12 @@ class TestCriterion9Oracle:
             rng = np.random.default_rng([cfg.master_seed, r])
             modules = montecarlo._draw_modules(cfg, rng)
             profile = montecarlo._draw_profile(cfg, rng)
-            oracle = oracle_information(modules, profile, patterns)
+            emps = [profile.emp_for(p) for p in patterns]
+            oracle = reference(modules).information(emps)
             net = CascadeNetwork(modules)
-            for pattern, m_oracle in zip(patterns, oracle):
-                m_engine = information_matrix(net, profile.emp_for(pattern)).M
-                dev = np.linalg.norm(m_oracle - m_engine) / np.linalg.norm(m_engine)
-                worst_m = max(worst_m, dev)
+            for emp, m_oracle in zip(emps, oracle):
+                m_engine = information_matrix(net, emp).M
+                worst_m = max(worst_m, np.linalg.norm(m_oracle - m_engine) / np.linalg.norm(m_engine))
             traces = sorted(np.trace(np.linalg.inv(m)) for m in oracle)
             runner_up.append(traces[1] / traces[0])
             worst.append(traces[-1] / traces[0])

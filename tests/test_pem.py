@@ -14,8 +14,8 @@ from emprank import (
     simulate,
 )
 from emprank import pem
-from emprank.fisher import gradient_stack
 from emprank.pem import TRANSIENT, _forward, _linearize, _rebuild, _residuals, _try_network
+from conftest import oracle_path
 
 
 def prediction_cost(data, modules):
@@ -73,6 +73,10 @@ class TestSimulate:
         np.testing.assert_array_equal(a.r[1], b.r[1])
         np.testing.assert_array_equal(a.y[3], b.y[3])
         assert a.n_samples == 200
+
+    def test_node_beyond_network_rejected(self):
+        with pytest.raises(ValueError, match="node 5 beyond the 3-node cascade"):
+            simulate(three_node_fo(), Emp.uniform({1}, {2, 5}), 100)
 
     def test_cascade_recursion(self):
         net = three_node_fo()
@@ -153,26 +157,22 @@ class TestPredictionCost:
 class TestLinearize:
     @pytest.mark.parametrize("case", sorted(LINEARIZE_CASES))
     def test_matches_path_and_gradient_stack_filters(self, case):
-        """The forward pass against the time-domain reference: predictions
-        from the path gains and Jacobian columns from the gradient stack
-        filters, each applied to the excitations with lfilter."""
+        """The forward pass against the oracle: predictions from the path
+        responses and Jacobian columns from the gradient-stack rows of
+        ``conftest.oracle_path``, each driven by the excitations."""
         build, emp = LINEARIZE_CASES[case]
         net = build()
         data = simulate(net, emp, 600, seed=13)
         res, jac = _linearize(data, net)
-        offsets = np.cumsum([0] + [m.n_params for m in net.modules])
         ref_res, ref_jac = [], []
         for j in sorted(data.y):
-            yhat = np.zeros(data.n_samples)
-            psi = np.zeros((data.n_samples, offsets[-1]))
+            yhat, psi = 0.0, 0.0
             for i in sorted(r for r in data.r if r <= j):
-                yhat += lfilter(*net.path_gain(i, j), data.r[i])
-                for k, filters in gradient_stack(net, i, j).items():
-                    for m, f in enumerate(filters):
-                        psi[:, offsets[k - 1] + m] += lfilter(*f, data.r[i])
+                path, rows = oracle_path(net.modules, i, j, data.r[i])
+                yhat, psi = yhat + path, psi + rows
             weight = 1.0 / np.sqrt(emp.lam[j])
             ref_res.append((data.y[j] - yhat)[TRANSIENT:] * weight)
-            ref_jac.append(-psi[TRANSIENT:] * weight)
+            ref_jac.append(-psi.T[TRANSIENT:] * weight)
         ref_res, ref_jac = np.concatenate(ref_res), np.vstack(ref_jac)
         assert jac.shape == ref_jac.shape
         np.testing.assert_allclose(jac, ref_jac, rtol=1e-12, atol=1e-12 * np.abs(ref_jac).max())

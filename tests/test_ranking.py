@@ -1,5 +1,7 @@
 """Ranking, SNR decision rules, mirror symmetry, closed-form block checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,9 @@ from emprank import (
 )
 from emprank import ranking
 from emprank.emp import mirror_pattern
+from emprank.fisher import information_batch
 from emprank.ranking import TIE_REL, RankEntry, _break_ties
-from conftest import identical_network, random_first_order, random_network
+from conftest import drawn_chains, identical_network, random_first_order, random_network
 
 END_EXCITED = (frozenset({1}), frozenset({2, 3, 4}))
 END_MEASURED = (frozenset({1, 2, 3}), frozenset({4}))
@@ -295,6 +298,40 @@ class TestBatchedProperties:
             for b in base.entries[k + 1:]:
                 if b.value > a.value * (1 + accuracy(a) + accuracy(b)):
                     assert position[a.canonical_index] < position[b.canonical_index]
+
+
+class TestVarianceProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(drawn_chains(), st.integers(-8, 8), st.sampled_from(["sigma2", "lam"]))
+    def test_power_of_four_scaling_is_exact(self, chain, k, role):
+        # 4^k scales every weight sigma2_i / lambda_j, and so M, exactly: the
+        # Jacobi-scaled S stays bitwise the same and P scales by 4^-k
+        net, profile = chain
+        v = getattr(profile, role)
+        v = {i: x * 4.0**k for i, x in v.items()} if isinstance(v, dict) else v * 4.0**k
+        scaled = dataclasses.replace(profile, **{role: v})
+        factor = 4.0 ** (-k if role == "sigma2" else k)
+        base = information_batch(net, *profile.minimal_variances(net.n))
+        for a, b in zip(base, information_batch(net, *scaled.minimal_variances(net.n))):
+            assert (b.informative, b.rcond) == (a.informative, a.rcond)
+            assert not a.informative or b.criteria["trace"] == a.criteria["trace"] * factor
+        if any(a.informative for a in base):  # else rank_emps raises
+            ranked = [rank_emps(net, p).entries for p in (profile, scaled)]
+            assert [e.pattern for e in ranked[1]] == [e.pattern for e in ranked[0]]
+
+    @settings(max_examples=25, deadline=None)
+    @given(drawn_chains(), st.integers(1, 4), st.floats(1.0, 1e3))
+    def test_more_excitation_never_raises_a_trace(self, chain, node, factor):
+        # M grows by a positive semidefinite term, so P can only shrink; the
+        # rounding of either trace is bounded by about 1e-13/rcond
+        net, profile = chain
+        sigma2 = {i: profile.sigma2_at(i) for i in range(1, net.n)}
+        sigma2[min(node, net.n - 1)] *= factor
+        before = information_batch(net, *profile.minimal_variances(net.n))
+        after = information_batch(net, *VarianceProfile(sigma2, profile.lam).minimal_variances(net.n))
+        for a, b in zip(before, after):
+            if a.informative and b.informative:
+                assert b.criteria["trace"] <= a.criteria["trace"] * (1 + 1e-13 / min(a.rcond, b.rcond))
 
 
 class TestThreeNodeRule:
