@@ -22,7 +22,9 @@ broadcasting, then one contraction with the stacked Grams.  M is inverted
 through its Jacobi scaling S = DMD, D = diag(M)^-1/2, whose unit diagonal
 makes it independent of parameter units: a stacked Cholesky S = LL^T and
 X = L^-1 give the per-sample asymptotic covariance P = M^-1 = D X^T X D.
-cov(theta_hat) over N samples is then P/N.
+cov(theta_hat) over N samples is then P/N.  The inversion works on any stack
+of M that share one parameter layout, also one gathered from several
+networks, and each M's result is independent of the rest of its stack.
 """
 
 from __future__ import annotations
@@ -110,10 +112,26 @@ def information_batch(net, sigma2, lam):
     finite; otherwise, also when float64 overflows, its result has P=None.
     Returns one InfoResult per pattern, in order.
     """
+    return _invert_stack(_assemble(net, sigma2, lam), net.param_slices)
+
+
+def _assemble(net, sigma2, lam):
+    """The information matrices M of a batch of patterns on one network, (patterns, p, p)."""
     # einsum's fixed summation order keeps each M independent of the batch,
     # and exactly symmetric, since the pair Grams are
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness tests of _invert_stack
+        return np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
+
+
+def _invert_stack(M, param_slices):
+    """One InfoResult per matrix of a stack of information matrices M that share the
+    parameter layout ``param_slices``, whether they come from one network or several.
+
+    Every matrix is decided and inverted from its own entries alone, so its result does not
+    depend on the other matrices of the stack; a stack whose Cholesky fails is factored
+    again one matrix at a time and only the matrices that fail are set aside.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finiteness tests below
-        M = np.einsum("ek,kab->eab", _pair_weights(net, sigma2, lam), net.pair_grams.grams)
         d = np.diagonal(M, axis1=1, axis2=2)
         ok = ((d > 0) & (d < np.inf)).all(axis=1)
         D = 1.0 / np.sqrt(np.where(ok[:, None], d, 1.0))
@@ -142,7 +160,7 @@ def information_batch(net, sigma2, lam):
         trace = diag.sum(axis=1)
         ok &= (rcond > RCOND_THRESHOLD) & np.isfinite(P).all(axis=(1, 2))
         ok &= np.isfinite(trace) & np.isfinite(logdet)
-    traces = np.add.reduceat(diag, [s.start for s in net.param_slices], axis=1).tolist()
+    traces = np.add.reduceat(diag, [s.start for s in param_slices], axis=1).tolist()
     trace, logdet, rcond = trace.tolist(), logdet.tolist(), rcond.tolist()
     return [
         InfoResult(M[e], P[e], rcond[e], {"trace": trace[e], "logdet": logdet[e]}, traces[e])

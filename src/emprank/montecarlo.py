@@ -7,7 +7,14 @@ reproduces the selection-frequency tables and the accuracy-ratio statistics
 used to judge how much choosing the right pattern matters.
 
 Runs are reproducible independent of worker count: run r of a scenario with
-master seed s uses the dedicated stream seeded by (s, r).
+master seed s uses the dedicated stream seeded by (s, r).  Each worker gets
+one contiguous chunk of runs, the serial path one chunk of all of them.  A
+chunk draws each run and assembles its information matrices on their own,
+then inverts the runs whose modules have the same parameter counts as one
+stack of at most STACK_ENTRIES matrix entries, and ranks each run from its
+slice through the ranking tail of ``rank_emps``.  A matrix's result does not
+depend on its stack, so every run's outcome is the one ``rank_emps`` gives
+it alone.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ import numpy as np
 
 from .cascade import CascadeNetwork
 from .emp import MAX_NODES, VarianceProfile, enumerate_minimal, pattern_label
-from .fisher import CRITERIA, NonInformativeError
+from .fisher import CRITERIA, NonInformativeError, _assemble, _invert_stack
 from .lti import FAMILY_SIZES, FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
-from .ranking import rank_emps
+from .ranking import _rank_results
 
 __all__ = [
     "FIR_BUTTERWORTH",
@@ -54,6 +61,11 @@ EQUAL_SIGMA2 = 1.0
 EQUAL_LAMBDA = 0.01
 RANDOM_LOW = 0.001
 RANDOM_HIGH = 50.0
+# matrix entries (patterns x p^2, summed over the runs) that a chunk holds
+# assembled and inverts at once: enough to share one inversion among tens
+# of small runs (227 first-order n=4 runs, 14 at n=6), little enough to
+# keep a chunk's memory flat (a few float64 arrays of 256 KiB)
+STACK_ENTRIES = 1 << 15
 
 
 def sample_fir_butterworth(rng):
@@ -234,24 +246,6 @@ def _draw_profile(cfg, rng):
     return VarianceProfile(sigma2, lam)
 
 
-def _run_one(cfg, run_index):
-    rng = np.random.default_rng([cfg.master_seed, run_index])
-    modules = _draw_modules(cfg, rng)
-    profile = _draw_profile(cfg, rng)
-    try:
-        ranking = rank_emps(CascadeNetwork(modules), profile, cfg.criterion)
-    except NonInformativeError:
-        return RunOutcome(rejected=True, reason="no informative pattern")
-    except UnstableFilterError as exc:  # an unstable draw, or one too slow to decay
-        return RunOutcome(rejected=True, reason=str(exc))
-    return RunOutcome(
-        winner=ranking.best.canonical_index,
-        runner_up_ratio=ranking.runner_up_ratio(),
-        worst_ratio=ranking.worst_ratio(),
-        non_informative=len(ranking.non_informative),
-    )
-
-
 def _one_blas_thread():
     """Worker initializer: one thread for numpy's bundled OpenBLAS (a run
     factors only small matrices); a no-op without scipy-openblas."""
@@ -263,8 +257,51 @@ def _one_blas_thread():
 
 
 def _run_chunk(args):
+    """Outcomes of the runs ``indices`` of a scenario, in order (see the
+    module docstring); a run larger than STACK_ENTRIES is inverted alone."""
     cfg, indices = args
-    return [_run_one(cfg, r) for r in indices]
+    patterns = enumerate_minimal(cfg.n)
+    outcomes = [None] * len(indices)
+    window, entries = [], 0  # (slot, parameter slices, M) of the runs assembled but not yet ranked
+    for slot, r in enumerate(indices):
+        rng = np.random.default_rng([cfg.master_seed, r])
+        modules = _draw_modules(cfg, rng)
+        profile = _draw_profile(cfg, rng)
+        try:
+            net = CascadeNetwork(modules)
+            M = _assemble(net, *profile.minimal_variances(cfg.n))
+        except UnstableFilterError as exc:  # an unstable draw, or one too slow to decay
+            outcomes[slot] = RunOutcome(rejected=True, reason=str(exc))
+            continue
+        if window and entries + M.size > STACK_ENTRIES:
+            _rank_window(window, patterns, cfg.criterion, outcomes)
+            window, entries = [], 0
+        window.append((slot, net.param_slices, M))
+        entries += M.size
+    _rank_window(window, patterns, cfg.criterion, outcomes)
+    return outcomes
+
+
+def _rank_window(window, patterns, kind, outcomes):
+    """Invert the runs of ``window`` in one stack per parameter layout and
+    store each run's outcome in its slot of ``outcomes``."""
+    stacks = {}
+    for run in window:
+        stacks.setdefault(tuple(s.stop for s in run[1]), []).append(run)
+    for runs in stacks.values():
+        results = _invert_stack(np.concatenate([M for _, _, M in runs]), runs[0][1])
+        for k, (slot, _, _) in enumerate(runs):
+            try:
+                ranking = _rank_results(results[k * len(patterns): (k + 1) * len(patterns)], patterns, kind)
+            except NonInformativeError:
+                outcomes[slot] = RunOutcome(rejected=True, reason="no informative pattern")
+                continue
+            outcomes[slot] = RunOutcome(
+                winner=ranking.best.canonical_index,
+                runner_up_ratio=ranking.runner_up_ratio(),
+                worst_ratio=ranking.worst_ratio(),
+                non_informative=len(ranking.non_informative),
+            )
 
 
 @dataclass
@@ -334,15 +371,18 @@ def _worker_pool(workers):
 def run_scenario(cfg, workers=1):
     """Execute every run of a scenario and aggregate selection frequencies.
 
-    The runs are split into chunks, run in this process for one worker and
-    fanned out over ``workers`` processes otherwise; results are the same
-    either way because every run owns its seed stream.  The worker
-    processes persist between calls with the same worker count and run the
-    package state as of the pool's creation: changes made in this process
-    afterwards (a patched sampler, say) do not reach them.
+    The runs are split into one contiguous chunk per worker, run in this
+    process for one worker and fanned out over ``workers`` processes
+    otherwise; results are the same either way because every run owns its
+    seed stream.  The worker processes persist between calls with the same
+    worker count and run the package state as of the pool's creation:
+    changes made in this process afterwards (a patched sampler, say) do not
+    reach them.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     patterns = enumerate_minimal(cfg.n)
-    indices = np.array_split(np.arange(cfg.runs), workers * 8)
+    indices = np.array_split(np.arange(cfg.runs), workers)
     chunks = [(cfg, idx.tolist()) for idx in indices if idx.size]
     pool = _worker_pool(workers) if workers > 1 else None
     outcomes = []

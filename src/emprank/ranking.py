@@ -98,7 +98,12 @@ def rank_emps(net, profile, kind="trace"):
     """Evaluate every minimal pattern of the network and sort by criterion."""
     _check_kind(kind)
     results = information_batch(net, *profile.minimal_variances(net.n))
-    patterns = enumerate_minimal(net.n)
+    return _rank_results(results, enumerate_minimal(net.n), kind)
+
+
+def _rank_results(results, patterns, kind):
+    """EmpRanking of one network's InfoResults, given in the order of its minimal ``patterns``;
+    raises NonInformativeError when none is informative."""
     dead = [(patterns[e], e, res.rcond) for e, res in enumerate(results) if res.P is None]
     entries = [
         RankEntry(patterns[e], e, res.criteria[kind], res) for e, res in enumerate(results) if res.P is not None

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -10,10 +11,13 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import butter, lfilter
 
 from emprank import (
     CascadeNetwork,
+    NonInformativeError,
     ParamModule,
     Perturbation,
     ScenarioConfig,
@@ -24,14 +28,17 @@ from emprank import (
     run_scenario,
 )
 from emprank import montecarlo
-from emprank.lti import STABILITY_MARGIN
+from emprank.fisher import _invert_stack
+from emprank.lti import FAMILY_SIZES, STABILITY_MARGIN, UnstableFilterError
 from emprank.montecarlo import (
     FIR_BUTTERWORTH,
     FIR_MIN_TAPS,
+    RunOutcome,
     sample_fir_butterworth,
     sample_first_order,
     sample_second_order,
 )
+from emprank.ranking import _rank_results
 from conftest import reference, root_radius
 
 
@@ -216,6 +223,65 @@ class TestModuleDraws:
             assert scaled == 10.0 * sample_fir_butterworth(np.random.default_rng([0, r])).theta[last]
 
 
+def outcome_of(ranking):
+    return RunOutcome(
+        winner=ranking.best.canonical_index,
+        runner_up_ratio=ranking.runner_up_ratio(),
+        worst_ratio=ranking.worst_ratio(),
+        non_informative=len(ranking.non_informative),
+    )
+
+
+def run_by_run(cfg):
+    """The RunOutcome of every run of ``cfg``, each ranked alone by ``rank_emps``."""
+    outcomes = []
+    for r in range(cfg.runs):
+        rng = np.random.default_rng([cfg.master_seed, r])
+        modules = montecarlo._draw_modules(cfg, rng)
+        profile = montecarlo._draw_profile(cfg, rng)
+        try:
+            outcomes.append(outcome_of(rank_emps(CascadeNetwork(modules), profile, cfg.criterion)))
+        except NonInformativeError:
+            outcomes.append(RunOutcome(rejected=True, reason="no informative pattern"))
+        except UnstableFilterError as exc:
+            outcomes.append(RunOutcome(rejected=True, reason=str(exc)))
+    return outcomes
+
+
+def assert_report_of(report, outcomes):
+    """``report`` aggregates ``outcomes`` in run order, bitwise."""
+    kept = [o for o in outcomes if not o.rejected]
+    ranked_two = [o for o in kept if o.runner_up_ratio is not None]
+    np.testing.assert_array_equal(
+        report.counts, np.bincount([o.winner for o in kept], minlength=len(report.patterns))
+    )
+    np.testing.assert_array_equal(report.runner_up_ratios, [o.runner_up_ratio for o in ranked_two])
+    np.testing.assert_array_equal(report.worst_ratios, [o.worst_ratio for o in ranked_two])
+    assert report.n_rejected_runs == len(outcomes) - len(kept)
+    assert report.n_noninformative_emps == sum(o.non_informative for o in kept)
+
+
+@st.composite
+def scenarios(draw):
+    """Small scenarios of every family and variance law, identical or perturbed modules."""
+    family, n = draw(st.sampled_from(montecarlo.MODULE_FAMILIES)), draw(st.integers(3, 5))
+    n_params = FAMILY_SIZES.get(family, FIR_MIN_TAPS)
+    perturbation = draw(
+        st.none()
+        | st.builds(Perturbation, st.integers(1, n - 1), st.integers(0, n_params - 1), st.sampled_from([0.5, 10.0]))
+    )
+    return ScenarioConfig(
+        n=n,
+        family=family,
+        runs=draw(st.integers(1, 12)),
+        variance_mode=draw(st.sampled_from(["equal", "random"])),
+        identical=draw(st.booleans()),
+        perturbation=perturbation,
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        criterion=draw(st.sampled_from(["trace", "logdet"])),
+    )
+
+
 class TestRunScenario:
     def test_identical_equal_picks_balanced_always(self):
         cfg = ScenarioConfig(
@@ -263,20 +329,30 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_deterministic_and_worker_invariant(self, workers):
-        """Fewer runs than chunks: the report equals one built run by run,
-        also on a second call served by warm workers and caches."""
+        """The serial chunk gives each run the outcome ``rank_emps`` gives it
+        alone, and the report aggregates those outcomes for any worker count
+        (three workers get chunks of 2, 2 and 1 runs), also on a second call
+        served by warm workers and caches."""
         cfg = ScenarioConfig(
             n=4, family="first_order", runs=5, variance_mode="random", master_seed=9
         )
-        outcomes = [montecarlo._run_one(cfg, r) for r in range(cfg.runs)]
-        kept = [o for o in outcomes if not o.rejected]
-        counts = np.bincount([o.winner for o in kept], minlength=len(enumerate_minimal(cfg.n)))
+        outcomes = montecarlo._run_chunk((cfg, list(range(cfg.runs))))
+        assert outcomes == run_by_run(cfg)
         for _ in range(2):
-            report = run_scenario(cfg, workers=workers)
-            np.testing.assert_array_equal(report.counts, counts)
-            np.testing.assert_array_equal(report.runner_up_ratios, [o.runner_up_ratio for o in kept])
-            np.testing.assert_array_equal(report.worst_ratios, [o.worst_ratio for o in kept])
-            assert report.n_rejected_runs == len(outcomes) - len(kept)
+            assert_report_of(run_scenario(cfg, workers=workers), outcomes)
+
+    @settings(max_examples=10, deadline=None)
+    @given(scenarios())
+    def test_reports_do_not_depend_on_worker_count(self, cfg):
+        expected = run_by_run(cfg)
+        for workers in (1, 2, 3):
+            assert_report_of(run_scenario(cfg, workers=workers), expected)
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        cfg = ScenarioConfig(n=3, family="first_order", runs=2)
+        with pytest.raises(ValueError, match=f"workers must be a positive integer, got {re.escape(repr(workers))}$"):
+            run_scenario(cfg, workers=workers)
 
     def test_master_seed_changes_draws(self):
         mk = lambda seed: ScenarioConfig(
@@ -308,7 +384,7 @@ class TestRunScenario:
             lambda rng: ParamModule("first_order", (-0.99999, 1.0)),
         )
         cfg = ScenarioConfig(n=3, family="first_order", runs=2, master_seed=0)
-        outcome = montecarlo._run_one(cfg, 0)
+        (outcome,) = montecarlo._run_chunk((cfg, [0]))
         assert outcome.rejected
         assert outcome.reason.startswith("module 1 decays too slowly (pole radius 0.99999)")
         assert run_scenario(cfg).n_rejected_runs == 2
@@ -321,6 +397,66 @@ class TestRunScenario:
         assert sum(d["percentages"]) == pytest.approx(100.0)
         assert d["config"]["family"] == "first_order"
         assert d["median_worst_ratio"] >= d["median_runner_up_ratio"]
+
+
+class TestChunk:
+    """A chunk inverts its runs in stacks and ranks each run from its slice."""
+
+    @staticmethod
+    def spy_on_stacks(monkeypatch):
+        sizes = []
+
+        def invert(M, param_slices):
+            sizes.append(M.shape)
+            return _invert_stack(M, param_slices)
+
+        monkeypatch.setattr(montecarlo, "_invert_stack", invert)
+        return sizes
+
+    def test_failed_stack_cholesky_keeps_other_runs(self, monkeypatch):
+        """Run 2's pattern 1 gets an indefinite M, so the stacked Cholesky
+        fails; only that pattern is set aside, and every other run keeps the
+        outcome it has alone, bitwise."""
+        cfg = ScenarioConfig(n=4, family="first_order", runs=6, variance_mode="random", master_seed=4)
+        expected = run_by_run(cfg)
+        assemble, assembled = montecarlo._assemble, []
+
+        def corrupt_run_2(net, sigma2, lam):  # first-order draws are stable: call r assembles run r
+            M = assemble(net, sigma2, lam)
+            if len(assembled) == 2:
+                M[1, 0, 1] = M[1, 1, 0] = 2.0 * np.sqrt(M[1, 0, 0] * M[1, 1, 1])
+            assembled.append((M.copy(), net.param_slices))
+            return M
+
+        monkeypatch.setattr(montecarlo, "_assemble", corrupt_run_2)
+        sizes = self.spy_on_stacks(monkeypatch)
+        outcomes = montecarlo._run_chunk((cfg, list(range(cfg.runs))))
+        assert sizes == [(6 * 4, 6, 6)]  # one stack holds every run
+        M, param_slices = assembled[2]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        alone = _rank_results(_invert_stack(M, param_slices), enumerate_minimal(cfg.n), cfg.criterion)
+        assert [e for _, e, _ in alone.non_informative] == [1]
+        assert outcomes[2] == outcome_of(alone)
+        assert outcomes[:2] + outcomes[3:] == expected[:2] + expected[3:]
+
+    @pytest.mark.parametrize(
+        "family, n, budget",
+        [("first_order", 5, 1500), (FIR_BUTTERWORTH, 4, 20_000), (FIR_BUTTERWORTH, 4, 1000)],
+    )
+    def test_no_stack_over_the_entry_budget(self, monkeypatch, family, n, budget):
+        """Stacks stay within STACK_ENTRIES matrix entries; a run larger than
+        that (every FIR run at a budget of 1000) is inverted alone."""
+        cfg = ScenarioConfig(n=n, family=family, runs=12, variance_mode="random", master_seed=6)
+        monkeypatch.setattr(montecarlo, "STACK_ENTRIES", budget)
+        sizes = self.spy_on_stacks(monkeypatch)
+        outcomes = montecarlo._run_chunk((cfg, list(range(cfg.runs))))
+        assert outcomes == run_by_run(cfg)
+        patterns = len(enumerate_minimal(n))
+        assert sum(e for e, _, _ in sizes) == patterns * cfg.runs
+        assert all(e * p * q <= budget or e == patterns for e, p, q in sizes)
+        if family == "first_order":  # 512 entries a run: stacks of two
+            assert {e for e, _, _ in sizes} == {2 * patterns}
 
 
 def test_worker_blas_runs_one_thread():
