@@ -84,6 +84,7 @@ def _grid_size(modules, radii):
         n_fft *= 2
     if radii[slow] == 0:
         return n_fft
+    # probed apart from _pair_grams: checked there, a failed first guess (15% of second-order draws) costs a Gram pass
     while n_fft <= MAX_GRID:
         x = _grid(n_fft)
         rows = module_responses(modules[slow], x)[1]

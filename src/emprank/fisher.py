@@ -181,7 +181,7 @@ def information_matrix(net, emp):
 
 def _check_kind(kind):
     if kind not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {kind!r}")
+        raise ValueError(f"criterion must be {' or '.join(map(repr, CRITERIA))}, got {kind!r}")
 
 
 def criterion(result, kind="trace"):

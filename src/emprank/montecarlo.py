@@ -10,9 +10,9 @@ Runs are reproducible independent of worker count: run r of a scenario with
 master seed s uses the dedicated stream seeded by (s, r).  Each worker gets
 one contiguous chunk of runs, the serial path one chunk of all of them.  A
 chunk draws each run and assembles its information matrices on their own,
-then inverts the runs whose modules have the same parameter counts as one
-stack of at most STACK_ENTRIES matrix entries, and ranks each run from its
-slice through the ranking tail of ``rank_emps``.  A matrix's result does not
+then inverts consecutive runs of one parameter layout as one stack of at
+most STACK_ENTRIES matrix entries, and ranks each run from its slice
+through the ranking tail of ``rank_emps``.  A matrix's result does not
 depend on its stack, so every run's outcome is the one ``rank_emps`` gives
 it alone.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .cascade import CascadeNetwork
 from .emp import MAX_NODES, VarianceProfile, enumerate_minimal, pattern_label
-from .fisher import CRITERIA, NonInformativeError, _assemble, _invert_stack
+from .fisher import NonInformativeError, _assemble, _check_kind, _invert_stack
 from .lti import FAMILY_SIZES, FIR, FIRST_ORDER, SECOND_ORDER, ParamModule, UnstableFilterError
 from .ranking import _rank_results
 
@@ -179,8 +179,7 @@ class ScenarioConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.variance_mode not in ("equal", "random"):
             raise ValueError(f"variance_mode must be 'equal' or 'random', got {self.variance_mode!r}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be {' or '.join(map(repr, CRITERIA))}, got {self.criterion!r}")
+        _check_kind(self.criterion)
         if self.perturbation is not None:
             p = self.perturbation
             if not 1 <= p.module <= self.n - 1:
@@ -262,7 +261,7 @@ def _run_chunk(args):
     cfg, indices = args
     patterns = enumerate_minimal(cfg.n)
     outcomes = [None] * len(indices)
-    window, entries = [], 0  # (slot, parameter slices, M) of the runs assembled but not yet ranked
+    stack, layout = [], None  # (slot, M) of the runs assembled but not yet ranked, and their parameter slices
     for slot, r in enumerate(indices):
         rng = np.random.default_rng([cfg.master_seed, r])
         modules = _draw_modules(cfg, rng)
@@ -273,35 +272,32 @@ def _run_chunk(args):
         except UnstableFilterError as exc:  # an unstable draw, or one too slow to decay
             outcomes[slot] = RunOutcome(rejected=True, reason=str(exc))
             continue
-        if window and entries + M.size > STACK_ENTRIES:
-            _rank_window(window, patterns, cfg.criterion, outcomes)
-            window, entries = [], 0
-        window.append((slot, net.param_slices, M))
-        entries += M.size
-    _rank_window(window, patterns, cfg.criterion, outcomes)
+        if stack and (net.param_slices != layout or (len(stack) + 1) * M.size > STACK_ENTRIES):
+            _rank_stack(stack, layout, patterns, cfg.criterion, outcomes)
+            stack = []
+        stack.append((slot, M))
+        layout = net.param_slices
+    if stack:
+        _rank_stack(stack, layout, patterns, cfg.criterion, outcomes)
     return outcomes
 
 
-def _rank_window(window, patterns, kind, outcomes):
-    """Invert the runs of ``window`` in one stack per parameter layout and
-    store each run's outcome in its slot of ``outcomes``."""
-    stacks = {}
-    for run in window:
-        stacks.setdefault(tuple(s.stop for s in run[1]), []).append(run)
-    for runs in stacks.values():
-        results = _invert_stack(np.concatenate([M for _, _, M in runs]), runs[0][1])
-        for k, (slot, _, _) in enumerate(runs):
-            try:
-                ranking = _rank_results(results[k * len(patterns): (k + 1) * len(patterns)], patterns, kind)
-            except NonInformativeError:
-                outcomes[slot] = RunOutcome(rejected=True, reason="no informative pattern")
-                continue
-            outcomes[slot] = RunOutcome(
-                winner=ranking.best.canonical_index,
-                runner_up_ratio=ranking.runner_up_ratio(),
-                worst_ratio=ranking.worst_ratio(),
-                non_informative=len(ranking.non_informative),
-            )
+def _rank_stack(stack, layout, patterns, kind, outcomes):
+    """Invert the runs of ``stack``, which share the parameter slices ``layout``,
+    in one call and store each run's outcome in its slot of ``outcomes``."""
+    results = _invert_stack(np.concatenate([M for _, M in stack]), layout)
+    for k, (slot, _) in enumerate(stack):
+        try:
+            ranking = _rank_results(results[k * len(patterns): (k + 1) * len(patterns)], patterns, kind)
+        except NonInformativeError:
+            outcomes[slot] = RunOutcome(rejected=True, reason="no informative pattern")
+            continue
+        outcomes[slot] = RunOutcome(
+            winner=ranking.best.canonical_index,
+            runner_up_ratio=ranking.runner_up_ratio(),
+            worst_ratio=ranking.worst_ratio(),
+            non_informative=len(ranking.non_informative),
+        )
 
 
 @dataclass

@@ -123,9 +123,9 @@ def identical_network(rng, n, family="first_order"):
     return CascadeNetwork([module] * (n - 1))
 
 
-def drawn_chain(n, family, law, run, master_seed=20260815):
+def drawn_chain(n, family, law, run, master_seed=20260815, identical=False):
     """Network and variances of one run of the Monte Carlo sampling law."""
-    cfg = ScenarioConfig(n=n, family=family, runs=1, variance_mode=law, master_seed=master_seed)
+    cfg = ScenarioConfig(n=n, family=family, runs=1, variance_mode=law, identical=identical, master_seed=master_seed)
     rng = np.random.default_rng([master_seed, run])
     return CascadeNetwork(montecarlo._draw_modules(cfg, rng)), montecarlo._draw_profile(cfg, rng)
 

@@ -458,6 +458,39 @@ class TestChunk:
         if family == "first_order":  # 512 entries a run: stacks of two
             assert {e for e, _, _ in sizes} == {2 * patterns}
 
+    def test_every_stack_holds_one_parameter_layout(self, monkeypatch):
+        """FIR-Butterworth tap counts vary per draw: each inverted stack holds
+        runs of its own parameter layout only, and the stacks hold every
+        assembled run once.  Some consecutive runs of this seed have
+        different layouts of one parameter count: a stack mixing them would
+        slice the block traces of some runs wrongly, which outcomes do not
+        show."""
+        cfg = ScenarioConfig(n=4, family=FIR_BUTTERWORTH, runs=40, master_seed=5)
+        patterns = len(enumerate_minimal(cfg.n))
+        assemble, assembled, stacked = montecarlo._assemble, [], []
+
+        def record_run(net, sigma2, lam):
+            M = assemble(net, sigma2, lam)
+            assembled.append((M, net.param_slices))
+            return M
+
+        def record_stack(M, param_slices):
+            stacked.append((M, param_slices))
+            return _invert_stack(M, param_slices)
+
+        monkeypatch.setattr(montecarlo, "_assemble", record_run)
+        monkeypatch.setattr(montecarlo, "_invert_stack", record_stack)
+        assert montecarlo._run_chunk((cfg, list(range(cfg.runs)))) == run_by_run(cfg)
+        assert len({tuple(s.stop for s in slices) for _, slices in assembled}) > 1  # several layouts
+        assert len(stacked) < len(assembled)  # some stacks hold more than one run
+        covered = []
+        for M, param_slices in stacked:
+            for block in np.split(M, len(M) // patterns):
+                (run,) = [k for k, (A, _) in enumerate(assembled) if np.array_equal(A, block)]
+                assert assembled[run][1] == param_slices
+                covered.append(run)
+        assert sorted(covered) == list(range(len(assembled)))
+
 
 def test_worker_blas_runs_one_thread():
     """The worker initializer leaves numpy's bundled OpenBLAS on one thread."""

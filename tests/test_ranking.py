@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from emprank import (
@@ -12,6 +12,7 @@ from emprank import (
     Emp,
     NonInformativeError,
     ParamModule,
+    UnstableFilterError,
     VarianceProfile,
     covariance_block_identities,
     criterion,
@@ -26,9 +27,11 @@ from emprank import (
 )
 from emprank import ranking
 from emprank.emp import mirror_pattern
-from emprank.fisher import information_batch
+from emprank.fisher import CRITERIA, RCOND_THRESHOLD, information_batch
+from emprank.lti import FIRST_ORDER
+from emprank.montecarlo import MODULE_FAMILIES
 from emprank.ranking import TIE_REL, RankEntry, _break_ties
-from conftest import drawn_chains, identical_network, random_first_order, random_network
+from conftest import drawn_chain, drawn_chains, identical_network, random_first_order, random_network
 
 END_EXCITED = (frozenset({1}), frozenset({2, 3, 4}))
 END_MEASURED = (frozenset({1, 2, 3}), frozenset({4}))
@@ -41,6 +44,58 @@ def trace_of(net, pattern, profile):
     return criterion(res, "trace")
 
 
+def accuracy(rcond):
+    """Relative accuracy of a pattern's trace(P), and absolute accuracy of its
+    logdet(P): rounding in M grows by up to the condition number, about
+    1/rcond (the benchmark's oracle bound)."""
+    return 1e-9 + 1e-13 / rcond
+
+
+first_order_modules = st.builds(
+    lambda a, b: ParamModule("first_order", (a, b)),
+    st.floats(-0.9, 0.9).filter(lambda a: abs(a) > 0.05),
+    st.floats(0.5, 2.0),
+)
+variances = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def identical_chains(draw, nodes=st.integers(3, 6)):
+    """A chain of one repeated module whose pair Grams exist: a drawn
+    first-order module, or a second-order or FIR-Butterworth module of the
+    Monte Carlo sampling law."""
+    n, family = draw(nodes), draw(st.sampled_from(MODULE_FAMILIES))
+    if family == FIRST_ORDER:
+        return CascadeNetwork([draw(first_order_modules)] * (n - 1))
+    net, _ = drawn_chain(n, family, "equal", draw(st.integers(0, 10_000)), identical=True)
+    try:
+        net.pair_grams
+    except UnstableFilterError:
+        reject()
+    return net
+
+
+def ranked(net, profile, kind="trace"):
+    """``rank_emps``, with the draws that leave no pattern informative rejected."""
+    try:
+        return rank_emps(net, profile, kind)
+    except NonInformativeError:
+        reject()
+
+
+def assert_twins_tie(ranking, pattern, twin):
+    """Mirror twins on an identical chain with uniform variances have the same
+    P: their values agree to their accuracy, and one of them is set aside
+    without the other only at the rcond cut."""
+    by_pattern = {e.pattern: e for e in ranking.entries}
+    a, b = by_pattern.get(pattern), by_pattern.get(twin)
+    if a is None or b is None:
+        assert all(e.info.rcond < 1e3 * RCOND_THRESHOLD for e in (a, b) if e is not None)
+    else:
+        tol = accuracy(a.info.rcond)
+        assert b.value == pytest.approx(a.value, rel=tol, abs=tol)
+
+
 class TestRankEmps:
     def test_identical_equal_balanced_wins(self, rng):
         net = identical_network(rng, 4)
@@ -50,17 +105,16 @@ class TestRankEmps:
         # ascending up to the tie tolerance used for canonical reordering
         assert all(b >= a * (1 - 1e-9) for a, b in zip(vals, vals[1:]))
 
-    def test_end_patterns_tie_and_canonical_tiebreak(self, rng):
-        net = identical_network(rng, 4)
-        for kind in ("trace", "logdet"):
-            ranking = rank_emps(net, VarianceProfile(1.0, 1.0), kind)
-            by_pattern = {e.pattern: e for e in ranking.entries}
-            t1 = by_pattern[END_EXCITED]
-            t2 = by_pattern[END_MEASURED]
-            assert t1.value == pytest.approx(t2.value, rel=1e-9)
-            # equal values fall back to enumeration order
-            pos = [e.pattern for e in ranking.entries]
-            assert pos.index(END_EXCITED) < pos.index(END_MEASURED)
+    @settings(max_examples=25, deadline=None)
+    @given(identical_chains(st.just(4)), variances, variances, st.sampled_from(CRITERIA))
+    def test_end_patterns_tie_and_canonical_tiebreak(self, net, sigma2, lam, kind):
+        ranking = ranked(net, VarianceProfile(sigma2, lam), kind)
+        assert_twins_tie(ranking, END_EXCITED, END_MEASURED)
+        pos = {e.pattern: k for k, e in enumerate(ranking.entries)}
+        if END_EXCITED in pos and END_MEASURED in pos:
+            a, b = (ranking.entries[pos[p]].value for p in (END_EXCITED, END_MEASURED))
+            if abs(a - b) <= 0.5 * TIE_REL * abs(a):  # values equal to TIE_REL fall back to enumeration order
+                assert pos[END_EXCITED] < pos[END_MEASURED]
 
     def test_negative_near_tie_keeps_enumeration_order(self):
         # logdet(P) < 0 here, and the mirrored end patterns 0 and 3 tie up to
@@ -141,7 +195,7 @@ class TestRankEmps:
             raise AssertionError("the batch was evaluated")
 
         monkeypatch.setattr(ranking, "information_batch", unreachable)
-        with pytest.raises(ValueError, match="criterion must be one of"):
+        with pytest.raises(ValueError, match="criterion must be 'trace' or 'logdet', got 'bogus'"):
             rank_emps(CascadeNetwork(modules), VarianceProfile(), "bogus")
 
     def test_entries_carry_their_enumerated_pattern(self, rng):
@@ -252,31 +306,13 @@ class TestVarianceProfile:
         assert VarianceProfile(1.0, 0.0).lam_at(2) == 0.0
 
 
-def accuracy(entry):
-    """Relative accuracy of an entry's trace(P): rounding in M grows by up to
-    the condition number, about 1/rcond (the benchmark's oracle bound)."""
-    return 1e-9 + 1e-13 / entry.info.rcond
-
-
-first_order_modules = st.builds(
-    lambda a, b: ParamModule("first_order", (a, b)),
-    st.floats(-0.9, 0.9).filter(lambda a: abs(a) > 0.05),
-    st.floats(0.5, 2.0),
-)
-variances = st.floats(1e-3, 1e3)
-
-
 class TestBatchedProperties:
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(3, 6), first_order_modules, variances, variances)
-    def test_mirrored_patterns_tie(self, n, module, sigma2, lam):
-        net = CascadeNetwork([module] * (n - 1))
-        profile = VarianceProfile(sigma2, lam)
-        ranking = rank_emps(net, profile)
-        value = {e.pattern: e.value for e in ranking.entries}
-        for e in ranking.entries:
-            twin = mirror_pattern(e.pattern, n)
-            assert value[twin] == pytest.approx(e.value, rel=accuracy(e))
+    @given(identical_chains(), variances, variances)
+    def test_mirrored_patterns_tie(self, net, sigma2, lam):
+        ranking = ranked(net, VarianceProfile(sigma2, lam))
+        for pattern in enumerate_minimal(net.n):
+            assert_twins_tie(ranking, pattern, mirror_pattern(pattern, net.n))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -293,10 +329,10 @@ class TestBatchedProperties:
         assert sorted(position) == sorted(e.canonical_index for e in base.entries)
         for k, a in enumerate(base.entries):
             got = scaled.entries[position[a.canonical_index]]
-            assert got.value == pytest.approx(a.value / factor, rel=accuracy(a))
+            assert got.value == pytest.approx(a.value / factor, rel=accuracy(a.info.rcond))
             # patterns whose traces differ by more than their accuracy keep their order
             for b in base.entries[k + 1:]:
-                if b.value > a.value * (1 + accuracy(a) + accuracy(b)):
+                if b.value > a.value * (1 + accuracy(a.info.rcond) + accuracy(b.info.rcond)):
                     assert position[a.canonical_index] < position[b.canonical_index]
 
 
@@ -335,32 +371,38 @@ class TestVarianceProperties:
 
 
 class TestThreeNodeRule:
-    def test_matches_computed_traces(self, rng):
-        upstream = (frozenset({1}), frozenset({2, 3}))
-        downstream = (frozenset({1, 2}), frozenset({3}))
-        for _ in range(60):
-            net = identical_network(rng, 3)
-            s = {i: rng.uniform(0.1, 10.0) for i in (1, 2)}
-            l = {j: rng.uniform(0.1, 10.0) for j in (2, 3)}
-            profile = VarianceProfile({1: s[1], 2: s[2]}, {2: l[2], 3: l[3]})
-            winner = snr_rule_3node(s[1] / l[2], s[2] / l[3])
-            tu = trace_of(net, upstream, profile)
-            td = trace_of(net, downstream, profile)
-            if winner == downstream:
-                assert td < tu
-            elif winner == upstream:
-                assert tu < td
-            else:
-                assert tu == pytest.approx(td, rel=1e-9)
+    UPSTREAM = (frozenset({1}), frozenset({2, 3}))
+    DOWNSTREAM = (frozenset({1, 2}), frozenset({3}))
 
-    def test_equal_snr_is_exact_tie(self, rng):
-        net = identical_network(rng, 3)
-        # snr21 = 2/1 matches snr32 = 4/2
-        profile = VarianceProfile({1: 2.0, 2: 4.0}, {2: 1.0, 3: 2.0})
-        assert snr_rule_3node(2.0, 2.0) is None
-        tu = trace_of(net, (frozenset({1}), frozenset({2, 3})), profile)
-        td = trace_of(net, (frozenset({1, 2}), frozenset({3})), profile)
-        assert tu == pytest.approx(td, rel=1e-9)
+    def traces(self, net, sigma2, lam):
+        """trace(P) of the upstream and downstream pattern and their accuracy;
+        draws that leave either pattern non-informative are rejected."""
+        profile = VarianceProfile(sigma2, lam)
+        res = [information_matrix(net, profile.emp_for(p)) for p in (self.UPSTREAM, self.DOWNSTREAM)]
+        if not all(r.informative for r in res):
+            reject()
+        return res[0].criteria["trace"], res[1].criteria["trace"], accuracy(min(r.rcond for r in res))
+
+    @settings(max_examples=25, deadline=None)
+    @given(identical_chains(st.just(3)), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4))
+    def test_matches_computed_traces(self, net, v):
+        s1, s2, l2, l3 = v
+        tu, td, tol = self.traces(net, {1: s1, 2: s2}, {2: l2, 3: l3})
+        winner = snr_rule_3node(s1 / l2, s2 / l3)
+        if winner is None:
+            assert tu == pytest.approx(td, rel=tol)
+        else:  # the named pattern has the smaller trace, up to rounding at a near tie
+            smaller, larger = (td, tu) if winner == self.DOWNSTREAM else (tu, td)
+            assert smaller < larger * (1 + tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(identical_chains(st.just(3)), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.integers(-8, 8))
+    def test_equal_snr_is_exact_tie(self, net, s1, l2, k):
+        # scaling sigma2 and lambda by the same power of two keeps s2 / l3 == s1 / l2 exactly
+        s2, l3 = s1 * 2.0**k, l2 * 2.0**k
+        assert snr_rule_3node(s1 / l2, s2 / l3) is None
+        tu, td, tol = self.traces(net, {1: s1, 2: s2}, {2: l2, 3: l3})
+        assert tu == pytest.approx(td, rel=tol)
 
 
 class TestFourNodeRule:
