@@ -404,14 +404,15 @@ class TestChunk:
 
     @staticmethod
     def spy_on_stacks(monkeypatch):
-        sizes = []
+        """The (M, param_slices) of every stack the chunk inverts."""
+        stacked = []
 
         def invert(M, param_slices):
-            sizes.append(M.shape)
+            stacked.append((M, param_slices))
             return _invert_stack(M, param_slices)
 
         monkeypatch.setattr(montecarlo, "_invert_stack", invert)
-        return sizes
+        return stacked
 
     def test_failed_stack_cholesky_keeps_other_runs(self, monkeypatch):
         """Run 2's pattern 1 gets an indefinite M, so the stacked Cholesky
@@ -429,9 +430,9 @@ class TestChunk:
             return M
 
         monkeypatch.setattr(montecarlo, "_assemble", corrupt_run_2)
-        sizes = self.spy_on_stacks(monkeypatch)
+        stacked = self.spy_on_stacks(monkeypatch)
         outcomes = montecarlo._run_chunk((cfg, list(range(cfg.runs))))
-        assert sizes == [(6 * 4, 6, 6)]  # one stack holds every run
+        assert [M.shape for M, _ in stacked] == [(6 * 4, 6, 6)]  # one stack holds every run
         M, param_slices = assembled[2]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(M)
@@ -449,9 +450,10 @@ class TestChunk:
         that (every FIR run at a budget of 1000) is inverted alone."""
         cfg = ScenarioConfig(n=n, family=family, runs=12, variance_mode="random", master_seed=6)
         monkeypatch.setattr(montecarlo, "STACK_ENTRIES", budget)
-        sizes = self.spy_on_stacks(monkeypatch)
+        stacked = self.spy_on_stacks(monkeypatch)
         outcomes = montecarlo._run_chunk((cfg, list(range(cfg.runs))))
         assert outcomes == run_by_run(cfg)
+        sizes = [M.shape for M, _ in stacked]
         patterns = len(enumerate_minimal(n))
         assert sum(e for e, _, _ in sizes) == patterns * cfg.runs
         assert all(e * p * q <= budget or e == patterns for e, p, q in sizes)
@@ -467,19 +469,15 @@ class TestChunk:
         show."""
         cfg = ScenarioConfig(n=4, family=FIR_BUTTERWORTH, runs=40, master_seed=5)
         patterns = len(enumerate_minimal(cfg.n))
-        assemble, assembled, stacked = montecarlo._assemble, [], []
+        assemble, assembled = montecarlo._assemble, []
 
         def record_run(net, sigma2, lam):
             M = assemble(net, sigma2, lam)
             assembled.append((M, net.param_slices))
             return M
 
-        def record_stack(M, param_slices):
-            stacked.append((M, param_slices))
-            return _invert_stack(M, param_slices)
-
         monkeypatch.setattr(montecarlo, "_assemble", record_run)
-        monkeypatch.setattr(montecarlo, "_invert_stack", record_stack)
+        stacked = self.spy_on_stacks(monkeypatch)
         assert montecarlo._run_chunk((cfg, list(range(cfg.runs)))) == run_by_run(cfg)
         assert len({tuple(s.stop for s in slices) for _, slices in assembled}) > 1  # several layouts
         assert len(stacked) < len(assembled)  # some stacks hold more than one run
